@@ -50,6 +50,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
+# top-level keys a subcommand reads from ScenarioConfig.extra
+EXTRA_KEYS = {"n_max", "h_strain", "beta_mag", "phases", "betas"}
+
 
 class ConfigError(Exception):
     """Configuration problem, reported with the offending key path."""
@@ -73,6 +76,12 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         known = {"gw", "detector", "noise", "sweep", "output"}
+        unknown = sorted(set(raw) - known - EXTRA_KEYS)
+        if unknown:
+            raise ConfigError(
+                f"{unknown[0]}: unknown top-level key "
+                f"(choose from {sorted(known | EXTRA_KEYS)})"
+            )
         cfg = cls(
             gw=dict(raw.get("gw", {})),
             detector=dict(raw.get("detector", {})),

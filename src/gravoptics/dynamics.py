@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import solve_ivp
 
 from .states import (
     GaussianState,
@@ -271,6 +270,8 @@ def lyapunov_bar_marginal(
     A = gamma K - (kappa/2) I and D = kappa (nbar + 1/2) I in the adjusted
     detector frame.  Serves as the internal oracle for :func:`evolve_open`.
     """
+    from scipy.integrate import solve_ivp  # deferred: scipy is off the import path
+
     if t <= 0:
         return reduce_modes(tensor(gw, make_vacuum(1)), [1])
     gamma = gamma_t / t

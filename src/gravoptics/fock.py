@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .states import GwSignalParams
 
@@ -65,6 +63,8 @@ def _renormalized_expm(gen: NDArray[np.complex128]) -> tuple[NDArray[np.complex1
     """
     herm = 1j * gen
     if np.max(np.abs(herm - herm.conj().T)) > 1e-12 * max(1.0, np.abs(herm).max()):
+        from scipy.linalg import expm  # deferred: scipy is off the import path
+
         op = expm(gen)
     else:
         w, v = np.linalg.eigh(herm)
@@ -129,8 +129,13 @@ def _tail_decay_ratio(p: GwSignalParams) -> float:
     return mu / det + (1.0 - w / det)
 
 
-def choose_dim(p: GwSignalParams, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest cutoff with acceptable tail mass, capped at MAX_DIM."""
+def _gw_density(p: GwSignalParams, dim: int | None, tail_tol: float) -> TruncatedState:
+    """Wave density on the given cutoff, or on the smallest acceptable one if dim is None.
+
+    The adaptive search keeps the density it accepts, so callers build it once.
+    """
+    if dim is not None:
+        return build_gw_density(p, dim, tail_tol)
     mean = p.mean_occupation
     q = _tail_decay_ratio(p)
     if q > 1e-3:
@@ -141,12 +146,16 @@ def choose_dim(p: GwSignalParams, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     dim = min(MAX_DIM, max(12, guess))
     while True:
         try:
-            build_gw_density(p, dim, tail_tol)
-            return dim
+            return build_gw_density(p, dim, tail_tol)
         except ValueError:
             if dim >= MAX_DIM:
                 raise
             dim = min(MAX_DIM, int(dim * 1.25) + 1)
+
+
+def choose_dim(p: GwSignalParams, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
+    """Smallest cutoff with acceptable tail mass, capped at MAX_DIM."""
+    return _gw_density(p, None, tail_tol).dim
 
 
 def _block_unitary(
@@ -187,19 +196,35 @@ def beamsplitter_unitary(gamma_t: float, dim: int) -> NDArray[np.complex128]:
     return u
 
 
-def splitting_column(total_n: int, gamma_t: float) -> NDArray[np.complex128]:
-    """Exact amplitudes <total_n - m, m| U |total_n, 0> for m = 0..total_n.
+def _splitting_amplitudes(
+    k: NDArray[np.int_], m: NDArray[np.int_], gamma_t: float
+) -> NDArray[np.complex128]:
+    """Exact amplitudes <k, m| U |k + m, 0> over broadcast index arrays k, m.
 
     U (a†)^N U† = (cos a† - i sin b†)^N gives the binomial closed form
-    sqrt(C(N, m)) cos^{N-m}(gamma_t) (-i sin gamma_t)^m; agrees with the
+    sqrt(C(k + m, m)) cos^k(gamma_t) (-i sin gamma_t)^m; agrees with the
     exponentiated block to rounding and is what the fast marginal path uses.
     """
-    m = np.arange(total_n + 1)
-    log_binom = gammaln(total_n + 1) - gammaln(m + 1) - gammaln(total_n - m + 1)
+    from scipy.special import gammaln  # deferred: scipy is off the import path
+
+    log_binom = gammaln(k + m + 1) - gammaln(m + 1) - gammaln(k + 1)
     c, s = math.cos(gamma_t), math.sin(gamma_t)
-    mag = np.exp(0.5 * log_binom) * np.abs(c) ** (total_n - m) * np.abs(s) ** m
-    phase = np.sign(c) ** (total_n - m) * (-1j * np.sign(s)) ** m
+    mag = np.exp(0.5 * log_binom) * np.abs(c) ** k * np.abs(s) ** m
+    phase = np.sign(c) ** k * (-1j * np.sign(s)) ** m
     return mag * phase
+
+
+def splitting_column(total_n: int, gamma_t: float) -> NDArray[np.complex128]:
+    """Amplitudes <total_n - m, m| U |total_n, 0> for m = 0..total_n."""
+    m = np.arange(total_n + 1)
+    return _splitting_amplitudes(total_n - m, m, gamma_t)
+
+
+def splitting_table(dim: int, gamma_t: float) -> NDArray[np.complex128]:
+    """v[k, m] = <k, m| U |k + m, 0> on the support k + m < dim, zero elsewhere."""
+    k = np.arange(dim)[:, None]
+    m = np.arange(dim)[None, :]
+    return np.where(k + m < dim, _splitting_amplitudes(k, m, gamma_t), 0.0)
 
 
 def evolved_bar_density(
@@ -212,11 +237,7 @@ def evolved_bar_density(
     Returns (rho_bar, tail_mass of the marginal).
     """
     dim = gw.dim
-    v = np.zeros((dim, dim), dtype=complex)  # v[k, m], support k + m < dim
-    for total_n in range(dim):
-        col = splitting_column(total_n, gamma_t)
-        m = np.arange(total_n + 1)
-        v[total_n - m, m] = col
+    v = splitting_table(dim, gamma_t)
     rho_bar = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):
         span = dim - k
@@ -232,10 +253,9 @@ def oracle_bar_state(
     dim: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> TruncatedState:
-    dim = choose_dim(p, tail_tol) if dim is None else dim
-    gw = build_gw_density(p, dim, tail_tol)
+    gw = _gw_density(p, dim, tail_tol)
     rho_bar, tail = evolved_bar_density(gw, gamma_t)
-    return TruncatedState(dim, rho_bar / np.trace(rho_bar).real, tail)
+    return TruncatedState(gw.dim, rho_bar / np.trace(rho_bar).real, tail)
 
 
 def oracle_pn(
@@ -288,9 +308,8 @@ def oracle_normal_moment(
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> complex:
     """<a†^j a^k> of the wave state itself (no evolution needed)."""
-    dim = choose_dim(p, tail_tol) if dim is None else dim
-    state = build_gw_density(p, dim, tail_tol)
-    a = annihilation(dim).astype(complex)
+    state = _gw_density(p, dim, tail_tol)
+    a = annihilation(state.dim).astype(complex)
     op = np.linalg.matrix_power(a.conj().T, n_dagger) @ np.linalg.matrix_power(a, n_plain)
     return complex(np.trace(state.rho @ op))
 

@@ -11,6 +11,7 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -147,8 +148,16 @@ class GwSignalParams:
     nbar: float = 0.0
 
     def __post_init__(self):
+        params = (("alpha", self.alpha), ("r", self.r), ("theta", self.theta), ("nbar", self.nbar))
+        for name, value in params:
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.r < 0:
             raise ValueError("squeezing magnitude r must be >= 0")
+        try:
+            math.cosh(2 * self.r)
+        except OverflowError:
+            raise ValueError(f"squeezing magnitude r = {self.r} overflows cosh(2r)") from None
         if self.nbar < 0:
             raise ValueError("thermal occupation nbar must be >= 0")
         object.__setattr__(self, "alpha", complex(self.alpha))

@@ -188,6 +188,47 @@ def test_bad_config_exit_code(tmp_path):
     assert "config error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    ("r", "message"), [(math.nan, "r must be finite"), (400.0, "overflows cosh(2r)")]
+)
+def test_bad_gw_number_exit_code(tmp_path, capsys, r, message):
+    path = tmp_path / "bad.json"
+    cfg = {"gw": {"alpha_mag": 1.0, "r": r, "nbar": 0.1}, "detector": {"gamma_t": 0.3}}
+    path.write_text(json.dumps(cfg))
+    assert main(["probs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gw: ") and message in err
+
+
+def test_unknown_top_level_key_exit_code(tmp_path, capsys):
+    cfg = json.loads((SCRIPTS / "fig2_probs.json").read_text())
+    cfg["detectr"] = cfg.pop("detector")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["probs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    assert "detectr" in capsys.readouterr().err
+
+
+def test_figure_commands_do_not_import_scipy(tmp_path):
+    """scipy serves only oracle-check, the Fock oracle and the Lyapunov path."""
+    code = f"""
+import sys
+import gravoptics.cli as cli
+scripts, out = {str(SCRIPTS)!r}, {str(tmp_path)!r}
+for argv in (
+    ["probs", "--config", scripts + "/fig2_probs.json"],
+    ["g2", "--config", scripts + "/fig3_g2.json"],
+    ["tomo", "--config", scripts + "/tomo_roundtrip.json", "--seed", "11"],
+    ["physical", "--config", scripts + "/weber_bar.json"],
+):
+    assert cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
+leaked = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not leaked, leaked
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_physical_landmark(tmp_path):
     out = tmp_path / "p.json"
     assert main(["physical", "--config", str(SCRIPTS / "weber_bar.json"), "--out", str(out)]) == 0

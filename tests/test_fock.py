@@ -110,11 +110,35 @@ def test_truncation_convergence():
 
 
 def test_splitting_column_matches_block_exponential():
-    for total_n in (0, 1, 4, 17):
-        for gt in (0.0, 0.4, math.pi / 2, 2.5):
-            closed = fock.splitting_column(total_n, gt)
+    dim = 18
+    for gt in (0.0, 0.4, math.pi / 2, 2.5, -0.7):
+        table = fock.splitting_table(dim, gt)
+        for total_n in (0, 1, 4, 11, 17):
             block = fock._block_unitary(total_n, gt)[:, 0]
-            assert np.max(np.abs(closed - block)) < 1e-12
+            m = np.arange(total_n + 1)
+            assert np.max(np.abs(fock.splitting_column(total_n, gt) - block)) < 1e-12
+            assert np.max(np.abs(table[total_n - m, m] - block)) < 1e-12
+        k, m = np.indices(table.shape)
+        assert np.all(table[k + m >= dim] == 0.0)
+
+
+def test_oracle_builds_each_density_once(monkeypatch):
+    p = GwSignalParams(alpha=complex(0.9, -0.3), r=0.4, theta=0.5, nbar=0.3)
+    dim = fock.choose_dim(p)
+    built = []
+    build = fock.build_gw_density
+
+    def counted(*args, **kwargs):
+        state = build(*args, **kwargs)
+        built.append(state.dim)
+        return state
+
+    monkeypatch.setattr(fock, "build_gw_density", counted)
+    fock.oracle_pn_table(p, 0.7, 5)
+    assert built == [dim]
+    fock.oracle_moments_and_g2(p, 0.7)
+    fock.oracle_normal_moment(p, 1, 1)
+    assert built == [dim] * 3
 
 
 def test_tail_rejection():
