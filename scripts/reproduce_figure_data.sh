@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
 # Regenerate the sweep data sets (CSV/JSON) from the checked-in configs.
+# Usage: scripts/reproduce_figure_data.sh [OUT_DIR]   (default: data/ in the repo)
+# Output is byte-identical across runs, so two checkouts can be compared with
+# diff -r on their output directories.
 set -euo pipefail
-cd "$(dirname "$0")/.."
-mkdir -p data
+root="$(cd "$(dirname "$0")/.." && pwd)"
+out="${1:-$root/data}"
+case "$out" in /*) ;; *) out="$PWD/$out" ;; esac
+cd "$root"
+mkdir -p "$out"
 
-gravoptics probs --config scripts/fig2_probs.json --out data/fraction_sweep_probs.csv
-gravoptics g2 --config scripts/fig3_g2.json --out data/g2_grid.csv
-gravoptics tomo --config scripts/tomo_roundtrip.json --seed 11 --out data/tomo_roundtrip.json
-gravoptics physical --config scripts/weber_bar.json --out data/weber_bar.json
-gravoptics oracle-check --out data/oracle_check.csv
+gravoptics probs --config scripts/fig2_probs.json --out "$out/fraction_sweep_probs.csv"
+gravoptics g2 --config scripts/fig3_g2.json --out "$out/g2_grid.csv"
+gravoptics tomo --config scripts/tomo_roundtrip.json --seed 11 --out "$out/tomo_roundtrip.json"
+gravoptics physical --config scripts/weber_bar.json --out "$out/weber_bar.json"
+gravoptics oracle-check --out "$out/oracle_check.csv"
 
-echo "wrote data/fraction_sweep_probs.csv data/g2_grid.csv data/tomo_roundtrip.json" \
-     "data/weber_bar.json data/oracle_check.csv"
+echo "wrote fraction_sweep_probs.csv g2_grid.csv tomo_roundtrip.json weber_bar.json" \
+     "oracle_check.csv to $out"

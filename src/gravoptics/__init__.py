@@ -9,7 +9,7 @@ from .counting import (
     delta_p1_lowest_order,
     delta_pn,
     evolved_bar_moments,
-    excitation_probability,
+    generating_pn_table,
     loop_hafnian,
     poisson_pn,
     prob_n_generating,

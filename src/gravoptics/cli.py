@@ -16,10 +16,10 @@ reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +53,11 @@ EXIT_NUMERICAL = 2
 # top-level keys a subcommand reads from ScenarioConfig.extra
 EXTRA_KEYS = {"n_max", "h_strain", "beta_mag", "phases", "betas"}
 
+# gw keys (and sweep axes) each wave parameterization reads
+SCALED_KEYS = ("x_total", "fraction_q", "split")
+POLAR_KEYS = ("alpha_mag", "alpha_phase", "r", "theta", "nbar")
+CARTESIAN_KEYS = ("alpha_re", "alpha_im", "r", "theta", "nbar")
+
 
 class ConfigError(Exception):
     """Configuration problem, reported with the offending key path."""
@@ -60,6 +65,24 @@ class ConfigError(Exception):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _check_integer(value, key: str, lo: int, hi: float = math.inf) -> None:
+    """Reject all but a JSON integer in [lo, hi] (an integral float such as 3.0 counts)."""
+    if type(value) not in (int, float) or not float(value).is_integer() or not lo <= value <= hi:
+        raise ConfigError(f"{key}: must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _detector_config(det: dict) -> DetectorConfig:
+    return DetectorConfig(
+        mass=float(det["mass"]),
+        length=float(det["length"]),
+        omega_ell=float(det["omega_ell"]),
+        ell=int(det.get("ell", 1)),
+        gw_volume=float(det.get("gw_volume", 1.0)),
+        quality_factor=float(det.get("quality_factor", 1.0e6)),
+        temperature=float(det.get("temperature", 0.0)),
+    )
 
 
 @dataclass
@@ -105,18 +128,7 @@ class ScenarioConfig:
             )
         if len(self.sweep) > 2:
             raise ConfigError("sweep: at most 2 axes supported")
-        sweepable = {
-            "fraction_q",
-            "x_total",
-            "gamma_t",
-            "alpha_mag",
-            "alpha_phase",
-            "alpha_re",
-            "alpha_im",
-            "r",
-            "theta",
-            "nbar",
-        }
+        sweepable = {"gamma_t", *SCALED_KEYS, *POLAR_KEYS, *CARTESIAN_KEYS} - {"split"}
         for i, axis in enumerate(self.sweep):
             for key in ("parameter", "min", "max", "steps"):
                 if key not in axis:
@@ -128,15 +140,38 @@ class ScenarioConfig:
                 )
             if axis.get("scale", "lin") not in ("lin", "log"):
                 raise ConfigError(f"sweep[{i}].scale: must be 'lin' or 'log'")
-            if int(axis["steps"]) < 1:
-                raise ConfigError(f"sweep[{i}].steps: must be >= 1")
-        scaled = "x_total" in self.gw
-        direct = any(k in self.gw for k in ("alpha_mag", "alpha_re", "r", "nbar"))
-        if scaled and direct:
-            raise ConfigError("gw: give either the scaled (x_total, ...) or direct parameters")
+            _check_integer(axis["steps"], f"sweep[{i}].steps", 1)
+        self._check_parameterization()
+        if "n_max" in self.extra:
+            _check_integer(self.extra["n_max"], "n_max", 0, counting.PN_MAX)
+        if "phases" in self.extra:
+            _check_integer(self.extra["phases"], "phases", tomography.MIN_PHASES)
         fmt = self.output.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError("output.format: must be 'csv' or 'json'")
+
+    @property
+    def scaled(self) -> bool:
+        """Whether the wave uses the scaled (x_total, ...) parameterization."""
+        return "x_total" in self.gw or any(a["parameter"] == "x_total" for a in self.sweep)
+
+    def _check_parameterization(self) -> None:
+        """Every gw key and state sweep axis must be one the parameterization reads."""
+        axes = [a["parameter"] for a in self.sweep]
+        if self.scaled:
+            name, reads = "scaled", SCALED_KEYS
+        elif "alpha_mag" in self.gw or "alpha_mag" in axes:
+            name, reads = "direct (alpha_mag, alpha_phase)", POLAR_KEYS
+        else:
+            name, reads = "direct (alpha_re, alpha_im)", CARTESIAN_KEYS
+        where = [(f"gw.{key}", key) for key in self.gw]
+        where += [(f"sweep[{i}].parameter", a) for i, a in enumerate(axes) if a != "gamma_t"]
+        for path, key in where:
+            if key not in reads:
+                raise ConfigError(
+                    f"{path}: {key!r} is not read by the {name} parameterization "
+                    f"(it reads {', '.join(reads)})"
+                )
 
     def gamma_t(self, overrides: dict) -> float:
         det = {**self.detector, **{k: v for k, v in overrides.items() if k == "gamma_t"}}
@@ -144,15 +179,7 @@ class ScenarioConfig:
             return float(det["gamma_t"])
         if not det:
             raise ConfigError("detector: gamma_t or a physical detector is required")
-        cfg = DetectorConfig(
-            mass=float(det["mass"]),
-            length=float(det["length"]),
-            omega_ell=float(det["omega_ell"]),
-            ell=int(det.get("ell", 1)),
-            gw_volume=float(det.get("gw_volume", 1.0)),
-            quality_factor=float(det.get("quality_factor", 1.0e6)),
-            temperature=float(det.get("temperature", 0.0)),
-        )
+        cfg = _detector_config(det)
         nu = float(det.get("nu", cfg.omega_ell))
         t = float(det.get("t", 0.0))
         return coupling_gamma(cfg, nu) * t
@@ -160,7 +187,7 @@ class ScenarioConfig:
     def gw_params(self, overrides: dict, gamma_t: float) -> GwSignalParams:
         gw = {**self.gw, **{k: v for k, v in overrides.items() if k not in ("gamma_t",)}}
         try:
-            if "x_total" in gw:
+            if self.scaled:
                 return counting.scaled_params(
                     float(gw["x_total"]),
                     float(gw.get("fraction_q", 0.0)),
@@ -210,24 +237,9 @@ def _axis_values(axis: dict) -> list[float]:
 
 def _grid(cfg: ScenarioConfig) -> list[dict]:
     """Ordered override dicts, one per sweep grid point (single point if no sweep)."""
-    if not cfg.sweep:
-        return [{}]
-    axes = [(axis["parameter"], _axis_values(axis)) for axis in cfg.sweep]
-    points: list[dict] = []
-    if len(axes) == 1:
-        name, values = axes[0]
-        points = [{name: v} for v in values]
-    else:
-        (n1, v1), (n2, v2) = axes
-        points = [{n1: a, n2: b} for a in v1 for b in v2]
-    return points
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    names = [axis["parameter"] for axis in cfg.sweep]
+    values = [_axis_values(axis) for axis in cfg.sweep]
+    return [dict(zip(names, point)) for point in itertools.product(*values)]
 
 
 def _emit(header: list[str], rows: list[list], out, fmt: str) -> None:
@@ -249,34 +261,25 @@ def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
     n_max = int(cfg.extra.get("n_max", 3))
     sweep_names = [axis["parameter"] for axis in cfg.sweep]
     header = sweep_names + ["n", "p_n", "p_n_coherent", "delta_ratio"]
-
-    def one(point: dict) -> list[list]:
+    rows = []
+    for point in _grid(cfg):
         gamma_t = cfg.gamma_t(point)
         p = cfg.gw_params(point, gamma_t)
-        rows = []
-        for n in range(n_max + 1):
-            d = counting.delta_pn(p, gamma_t, n)
+        coords = [point.get(name, math.nan) for name in sweep_names]
+        for d in counting.delta_pn(p, gamma_t, n_max):
             ratio = d.ratio if d.ratio is not None else math.nan
-            rows.append(
-                [point.get(name, math.nan) for name in sweep_names]
-                + [n, d.pn, d.pn_coherent, ratio]
-            )
-        return rows
-
-    chunks = _parallel_map(one, _grid(cfg), args.threads)
-    return header, [row for chunk in chunks for row in chunk]
+            rows.append(coords + [d.n, d.pn, d.pn_coherent, ratio])
+    return header, rows
 
 
 def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
     sweep_names = [axis["parameter"] for axis in cfg.sweep]
     header = sweep_names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
-
-    scaled = "x_total" in cfg.gw or any("x_total" in pt or "fraction_q" in pt for pt in _grid(cfg))
-
-    def one(point: dict) -> list[list]:
+    rows = []
+    for point in _grid(cfg):
         if cfg.detector or "gamma_t" in point:
             gamma_t = cfg.gamma_t(point)
-        elif scaled:
+        elif cfg.scaled:
             raise ConfigError("g2: the scaled parameterization needs detector.gamma_t")
         else:
             gamma_t = 1.0  # unused: direct state parameters fix g2 on their own
@@ -284,13 +287,11 @@ def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
         report = g2_ideal(p)
         if report.g2 is None:
             raise ValueError("g2 undefined for the vacuum input at a sweep point")
-        return [
+        rows.append(
             [point.get(name, math.nan) for name in sweep_names]
             + [report.g2, report.g2 - 1.0, report.g2 - 2.0, int(report.g2 > 2.0)]
-        ]
-
-    chunks = _parallel_map(one, _grid(cfg), args.threads)
-    return header, [row for chunk in chunks for row in chunk]
+        )
+    return header, rows
 
 
 def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
@@ -298,15 +299,7 @@ def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
     needed = {"mass", "length", "omega_ell"}
     if not needed.issubset(det):
         raise ConfigError("physical: detector needs mass, length, omega_ell")
-    dcfg = DetectorConfig(
-        mass=float(det["mass"]),
-        length=float(det["length"]),
-        omega_ell=float(det["omega_ell"]),
-        ell=int(det.get("ell", 1)),
-        gw_volume=float(det.get("gw_volume", 1.0)),
-        quality_factor=float(det.get("quality_factor", 1.0e6)),
-        temperature=float(det.get("temperature", 0.0)),
-    )
+    dcfg = _detector_config(det)
     nu = float(det.get("nu", dcfg.omega_ell))
     strain = float(cfg.extra.get("h_strain", 1e-22))
     t = float(det.get("t", 0.0))
@@ -433,10 +426,8 @@ def _check_rows(seed: int, fault: str | None) -> list[dict]:
             p = GwSignalParams(alpha=mag)
             mu = mag * mag * math.sin(gt) ** 2
             for n in range(6):
-                err = max(
-                    err,
-                    abs(counting.excitation_probability(p, gt, n) - counting.poisson_pn(mu, n)),
-                )
+                ph = counting.prob_n_hafnian(counting.evolved_bar_moments(p, gt), n)
+                err = max(err, abs(ph - counting.poisson_pn(mu, n)))
     record("poisson_baseline", err, 1e-12)
 
     # random draws shared by the route checks
@@ -601,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="JSON scenario config")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", default=None, choices=("csv", "json"))
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=None, help="noise-injection seed")
         if name == "oracle-check":
             sp.add_argument(

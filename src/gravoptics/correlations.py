@@ -87,12 +87,6 @@ def s_ordered_moment(m: LadderMoments, req: MomentRequest) -> complex:
     return complex((-1.0) ** req.n_plain * coeff)
 
 
-def _gw_central_moments(p: GwSignalParams) -> tuple[complex, float, complex]:
-    """Central ladder moments of the wave state from scalars (no cov detour)."""
-    mu = -(p.nbar + 0.5) * math.sinh(2 * p.r) * np.exp(1j * p.theta)
-    return complex(mu), p.n_quantum, complex(p.alpha)
-
-
 def _wick_g2(mu: complex, ntilde: float, abar: complex) -> tuple[float | None, float, float]:
     """(g2 or None, <n>, <n^2>) from central moments via Wick pairing."""
     a2 = abs(abar) ** 2
@@ -119,8 +113,8 @@ def g2_ideal(p: GwSignalParams) -> G2Report:
     Computed from the characteristic-function moments (the oracle-certified
     route).  Undefined for the vacuum: the report then carries g2 = None.
     """
-    mu, ntilde, abar = _gw_central_moments(p)
-    g2, mean_n, mean_n2 = _wick_g2(mu, ntilde, abar)
+    mu, ntilde, _ = p.central_moments()
+    g2, mean_n, mean_n2 = _wick_g2(mu, ntilde, p.alpha)
     note = "" if g2 is not None else "vacuum input: g2 is 0/0 and convention-dependent"
     return G2Report(g2, mean_n, mean_n2, "ideal", {"params": p}, note)
 
@@ -133,9 +127,9 @@ def g2_bar_after_evolution(p: GwSignalParams, gamma_t: float) -> G2Report:
     which keeps the transfer law clean at gamma_t as small as 1e-6 where the
     covariance representation would lose the signal to rounding.
     """
-    mu, ntilde, abar = _gw_central_moments(p)
+    mu, ntilde, _ = p.central_moments()
     s = math.sin(gamma_t)
-    g2, mean_n, mean_n2 = _wick_g2(s * s * mu, s * s * ntilde, s * abar)
+    g2, mean_n, mean_n2 = _wick_g2(s * s * mu, s * s * ntilde, s * p.alpha)
     note = "" if g2 is not None else "no detector excitation: g2 undefined"
     return G2Report(g2, mean_n, mean_n2, "ideal", {"params": p, "gamma_t": gamma_t}, note)
 
@@ -198,11 +192,11 @@ def g2_thermal_detector(p: GwSignalParams, n_th: float, gamma_t: float) -> G2Rep
     """
     if n_th < 0:
         raise ValueError("n_th must be >= 0")
-    mu, ntilde, abar = _gw_central_moments(p)
+    mu, ntilde, _ = p.central_moments()
     c2 = math.cos(gamma_t) ** 2
     s = math.sin(gamma_t)
     g2, mean_n, mean_n2 = _wick_g2(
-        s * s * mu, c2 * n_th + s * s * ntilde, s * abar
+        s * s * mu, c2 * n_th + s * s * ntilde, s * p.alpha
     )
     note = ""
     if g2 is None:
@@ -259,14 +253,14 @@ def g2_open(
     kappa t grows.  The report echoes the heating-rate condition
     Gamma_th t < n_gw (gamma_t)^2 with Gamma_th = kappa nbar_env.
     """
-    mu, ntilde, abar = _gw_central_moments(p)
+    mu, ntilde, _ = p.central_moments()
     decay = math.exp(-ch.kappa * t)
     grow = -math.expm1(-ch.kappa * t)
     s = math.sin(gamma_t)
     g2, mean_n, mean_n2 = _wick_g2(
         decay * s * s * mu,
         decay * s * s * ntilde + grow * ch.nbar,
-        math.sqrt(decay) * s * abar,
+        math.sqrt(decay) * s * p.alpha,
     )
     gamma_th_t = ch.kappa * ch.nbar * t
     signal = p.mean_occupation * gamma_t * gamma_t
@@ -292,8 +286,8 @@ def g2_open_closed_form(
     reduction (coherent input would give 0, not 1); the factor consistent with
     the moment route and the oracle is 4[...]^2.
     """
-    mu, ntilde, abar = _gw_central_moments(p)
-    bracket = abs(mu) ** 2 + 2.0 * (np.conj(abar) ** 2 * mu).real - abs(abar) ** 4
+    mu, _, _ = p.central_moments()
+    bracket = abs(mu) ** 2 + 2.0 * (np.conj(p.alpha) ** 2 * mu).real - abs(p.alpha) ** 4
     env = ch.nbar * math.expm1(ch.kappa * t) if ch.nbar > 0.0 else 0.0
     s2 = math.sin(gamma_t) ** 2
     den = env + p.mean_occupation * s2

@@ -2,10 +2,14 @@
 
 Three independent routes to the same numbers, cross-checked in the tests:
 
-* loop-hafnian evaluation over partition enumeration (exact, n <= 8);
-* generating-function differentiation via exact polynomial series;
 * closed forms for n = 0, 1, 2 (scalar, stable from desk scale up to
-  astrophysical amplitudes through the scaled parameterization).
+  astrophysical amplitudes through the scaled parameterization);
+* generating-function differentiation via one exact polynomial series table,
+  which holds every level up to the highest one asked for;
+* loop-hafnian evaluation over partition enumeration (exact, n <= 8, at
+  O(4^k k) cost), the cross-check route only.
+
+The production path, :func:`delta_pn`, uses the first two.
 
 Astrophysical inputs never pass through raw covariance matrices: the evolved
 detector moments are assembled from scalars, which keeps every kernel in
@@ -27,6 +31,7 @@ X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 NEGATIVE_CLAMP = 1e-12
 HAFNIAN_MAX_PAIRS = 8
+PN_MAX = 32  # bound of the cli's n_max; one series table to it takes ~12 ms
 
 
 def poisson_pn(mean: float, n: int) -> float:
@@ -52,8 +57,7 @@ def evolved_bar_moments(
     """
     c2 = math.cos(gamma_t) ** 2
     s2 = math.sin(gamma_t) ** 2
-    nu_g = (p.nbar + 0.5) * math.cosh(2 * p.r)
-    mu_g = -(p.nbar + 0.5) * math.sinh(2 * p.r) * np.exp(1j * p.theta)
+    mu_g, _, nu_g = p.central_moments()
     nu_b = c2 * (bar_nbar + 0.5) + s2 * nu_g
     mu_b = s2 * mu_g
     sigma = np.array([[mu_b, nu_b], [nu_b, np.conj(mu_b)]])
@@ -164,14 +168,15 @@ def prob_n_hafnian(bar: LadderMoments, n: int) -> float:
     return _finalize_probability(value, cm.prefactor * lh.imag / math.factorial(n), f"P_{n}")
 
 
-def prob_n_generating(bar: LadderMoments, n: int) -> float:
-    """P_n as the n-th mixed derivative of the Gaussian generating function.
+def generating_pn_table(bar: LadderMoments, n_max: int) -> list[float]:
+    """P_0..P_{n_max} as mixed derivatives of the Gaussian generating function.
 
     Independent of the partition enumeration: the quadratic exponent
-    alpha^T A alpha / 2 + F alpha is expanded as an exact bivariate series and
-    the (n, n) coefficient is read off.
+    alpha^T A alpha / 2 + F alpha is expanded once as an exact bivariate series
+    and each P_n is read off its (n, n) coefficient.  A table to degree n_max
+    gives every (n, n) coefficient the same bits as a table to degree n.
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be >= 0")
     cm = counting_matrices(bar)
     table = exp_bivariate_quadratic(
@@ -180,10 +185,18 @@ def prob_n_generating(bar: LadderMoments, n: int) -> float:
         0.5 * cm.amat[1, 1],
         cm.fvec[0],
         cm.fvec[1],
-        n,
+        n_max,
     )
-    value = cm.prefactor * math.factorial(n) * table[n, n]
-    return _finalize_probability(value.real, value.imag, f"P_{n} (generating)")
+    probs = []
+    for n in range(n_max + 1):
+        value = cm.prefactor * math.factorial(n) * table[n, n]
+        probs.append(_finalize_probability(value.real, value.imag, f"P_{n} (generating)"))
+    return probs
+
+
+def prob_n_generating(bar: LadderMoments, n: int) -> float:
+    """P_n alone from the generating-function series (see generating_pn_table)."""
+    return generating_pn_table(bar, n)[n]
 
 
 @dataclass(frozen=True)
@@ -202,28 +215,10 @@ class ProbabilityTable:
             raise ValueError("negative probability in table")
 
 
-def probability_table(bar: LadderMoments, n_max: int = HAFNIAN_MAX_PAIRS) -> ProbabilityTable:
-    if n_max > HAFNIAN_MAX_PAIRS:
-        raise ValueError(f"n_max exceeds the enumeration bound {HAFNIAN_MAX_PAIRS}")
-    probs = [(n, prob_n_hafnian(bar, n)) for n in range(n_max + 1)]
+def probability_table(bar: LadderMoments, n_max: int = 8) -> ProbabilityTable:
+    probs = list(enumerate(generating_pn_table(bar, n_max)))
     tail = max(0.0, 1.0 - sum(p for _, p in probs))
     return ProbabilityTable(probs, n_max, tail)
-
-
-def excitation_probability(
-    p: GwSignalParams, gamma_t: float, n: int, route: str = "hafnian"
-) -> float:
-    """End-to-end P_n for a wave state hitting a ground-state detector."""
-    bar = evolved_bar_moments(p, gamma_t)
-    if route == "hafnian":
-        return prob_n_hafnian(bar, n)
-    if route == "generating":
-        return prob_n_generating(bar, n)
-    if route == "closed":
-        if n > 2:
-            raise ValueError("closed forms cover n <= 2")
-        return closed_form_p012(p, gamma_t)[n]
-    raise ValueError(f"unknown route {route!r}")
 
 
 def closed_form_p012(p: GwSignalParams, gamma_t: float) -> tuple[float, float, float]:
@@ -238,8 +233,7 @@ def closed_form_p012(p: GwSignalParams, gamma_t: float) -> tuple[float, float, f
     """
     s = math.sin(gamma_t)
     s2 = s * s
-    nu_g = (p.nbar + 0.5) * math.cosh(2 * p.r)
-    mu_g = -(p.nbar + 0.5) * math.sinh(2 * p.r) * np.exp(1j * p.theta)
+    mu_g, _, nu_g = p.central_moments()
     # w - 1 = sin^2 (nu_gw - 1/2) exactly: keeping it as a separate small
     # quantity avoids the 1 - w/det cancellation that would otherwise cap the
     # precision of a1 at eps/sin^2
@@ -309,8 +303,7 @@ def rejected_p01_variant(p: GwSignalParams, gamma_t: float) -> tuple[float, floa
     s = math.sin(gamma_t)
     s2 = s * s
     c2 = math.cos(gamma_t) ** 2
-    nu_g = (p.nbar + 0.5) * math.cosh(2 * p.r)
-    mu_g = -(p.nbar + 0.5) * math.sinh(2 * p.r) * np.exp(1j * p.theta)
+    mu_g, _, nu_g = p.central_moments()
     w = s2 * nu_g + 0.5 * (c2 + 2.0)  # variant denominator; correct is (c2 + 1)
     z = s2 * mu_g
     det = w * w - (z * np.conj(z)).real
@@ -334,23 +327,35 @@ class DeltaPn:
     ratio: float | None  # delta / pn_coherent, None when the reference vanishes
 
 
-def delta_pn(p: GwSignalParams, gamma_t: float, n: int) -> DeltaPn:
-    """Delta P_n = P_{n,c} - P_n at fixed total flux.
+def _production_pn(p: GwSignalParams, gamma_t: float, n_max: int) -> list[float]:
+    """P_0..P_{n_max}: one closed-form call for n <= 2, one series table for n >= 3."""
+    probs = list(closed_form_p012(p, gamma_t))[: n_max + 1]
+    if n_max > 2:
+        probs += generating_pn_table(evolved_bar_moments(p, gamma_t), n_max)[3:]
+    return probs
+
+
+def delta_pn(p: GwSignalParams, gamma_t: float, n_max: int) -> list[DeltaPn]:
+    """Delta P_n = P_{n,c} - P_n at fixed total flux, for n = 0..n_max.
 
     The coherent reference carries the same mean occupation; when the input is
     already coherent the reference is the same object, so the difference is
     exactly zero.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if p.r == 0.0 and p.nbar == 0.0:
         ref = p
     else:
         ref = GwSignalParams(alpha=math.sqrt(p.mean_occupation))
-    route = "closed" if n <= 2 else "hafnian"
-    pn = excitation_probability(p, gamma_t, n, route)
-    pnc = pn if ref is p else excitation_probability(ref, gamma_t, n, route)
-    delta = pnc - pn
-    ratio = None if pnc == 0.0 else delta / pnc
-    return DeltaPn(n, pn, pnc, delta, ratio)
+    probs = _production_pn(p, gamma_t, n_max)
+    refs = probs if ref is p else _production_pn(ref, gamma_t, n_max)
+    rows = []
+    for n, (pn, pnc) in enumerate(zip(probs, refs)):
+        delta = pnc - pn
+        ratio = None if pnc == 0.0 else delta / pnc
+        rows.append(DeltaPn(n, pn, pnc, delta, ratio))
+    return rows
 
 
 def delta_p1_lowest_order(n_q: float, n_grav: float, gamma_t: float) -> float:

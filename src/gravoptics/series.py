@@ -7,8 +7,6 @@ series coefficients are exact up to floating-point rounding.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -62,8 +60,3 @@ def _truncated_product(
         else:
             out += coeff * a
     return out
-
-
-def coefficient(table: NDArray[np.complex128], i: int, j: int) -> complex:
-    """Derivative-ready coefficient: d^i/dz^i d^j/dw^j exp(Q)|_0 = i! j! C[i, j]."""
-    return complex(table[i, j]) * math.factorial(i) * math.factorial(j)

@@ -154,13 +154,26 @@ class GwSignalParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.r < 0:
             raise ValueError("squeezing magnitude r must be >= 0")
-        try:
-            math.cosh(2 * self.r)
-        except OverflowError:
-            raise ValueError(f"squeezing magnitude r = {self.r} overflows cosh(2r)") from None
         if self.nbar < 0:
             raise ValueError("thermal occupation nbar must be >= 0")
+        try:
+            nu = (self.nbar + 0.5) * math.cosh(2 * self.r)
+        except OverflowError:
+            nu = math.inf
+        if not math.isfinite(nu * nu):  # the Wick and closed-form kernels square |mu| <= nu
+            raise ValueError(
+                f"r = {self.r}, nbar = {self.nbar} overflows cosh(2r): nu^2 must be finite"
+            )
         object.__setattr__(self, "alpha", complex(self.alpha))
+
+    def central_moments(self) -> tuple[complex, float, float]:
+        """(mu, ntilde, nu): <da^2>, <da† da> and <{da, da†}>/2 of the wave state.
+
+        mu = -(nbar + 1/2) sinh(2r) e^{i theta}, ntilde = n_quantum and
+        nu = (nbar + 1/2) cosh(2r), from scalars (no covariance detour).
+        """
+        mu = -(self.nbar + 0.5) * math.sinh(2 * self.r) * np.exp(1j * self.theta)
+        return mu, self.n_quantum, (self.nbar + 0.5) * math.cosh(2 * self.r)
 
     @property
     def mean_occupation(self) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 from .states import GwSignalParams
 
 EPSILON_WARN = 0.1
+MIN_PHASES = 8  # reconstruct_gaussian fits five Fourier coefficients
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,6 @@ class TomographyTerms:
         return self.dG0 + self.dG1 + self.dG2 + self.dG3 + self.dG4_noise
 
 
-def _gw_central(p: GwSignalParams) -> tuple[complex, float]:
-    mu = -(p.nbar + 0.5) * math.sinh(2 * p.r) * np.exp(1j * p.theta)
-    return complex(mu), p.n_quantum
-
-
 def quadrature_variance_normal(p: GwSignalParams, phi: float) -> float:
     """<:(Delta h_phi)^2:> = (nbar + 1/2)[cosh 2r - sinh 2r cos(theta - 2 phi)] - 1/2.
 
@@ -88,14 +84,14 @@ def quadrature_number_correlation(p: GwSignalParams, phi: float) -> float:
     Vanishes for undisplaced states and for pure displaced states; it is the
     displaced-thermal / displaced-squeezed discriminator.
     """
-    mu, ntilde = _gw_central(p)
+    mu, ntilde, _ = p.central_moments()
     w = p.alpha * ntilde + np.conj(p.alpha) * mu
     return math.sqrt(2.0) * (np.exp(-1j * phi) * w).real
 
 
 def intensity_fluctuation_normal(p: GwSignalParams) -> float:
     """<:(Delta n)^2:> = 2 Re(alpha*^2 mu) + 2|alpha|^2 ntilde + ntilde^2 + |mu|^2."""
-    mu, ntilde = _gw_central(p)
+    mu, ntilde, _ = p.central_moments()
     a2 = abs(p.alpha) ** 2
     return (
         2.0 * (np.conj(p.alpha) ** 2 * mu).real
@@ -208,8 +204,8 @@ def reconstruct_gaussian(
     consistency residual.  Degenerate directions (r = 0 making theta
     meaningless, ntilde = |mu| making alpha unobservable) are flagged.
     """
-    if len(phase_sweep) < 8:
-        raise ValueError("need at least 8 phases covering [0, 2 pi)")
+    if len(phase_sweep) < MIN_PHASES:
+        raise ValueError(f"need at least {MIN_PHASES} phases covering [0, 2 pi)")
     phis = np.asarray([row[0] for row in phase_sweep], dtype=float)
     dg1 = np.asarray([row[1] for row in phase_sweep], dtype=float)
     dg2 = np.asarray([row[2] for row in phase_sweep], dtype=float)

@@ -187,7 +187,7 @@ def test_criterion_07_flux_landmark():
 def test_criterion_08_fig2_endpoints():
     gt = 0.1
     p0 = scaled_params(1.0, 0.0, "squeezed", gt)
-    endpoint = delta_pn(p0, gt, 1)
+    endpoint = delta_pn(p0, gt, 1)[1]
     endpoint_ok = endpoint.ratio is not None and abs(endpoint.ratio) < 1e-10
 
     x_total, fraction = 1.0, 0.3
@@ -195,7 +195,7 @@ def test_criterion_08_fig2_endpoints():
     errs = []
     for g in gts:
         p = scaled_params(x_total, fraction, "squeezed", g)
-        exact = delta_pn(p, g, 1).ratio
+        exact = delta_pn(p, g, 1)[1].ratio
         n_grav = x_total / g**2
         errs.append(abs(exact - delta_p1_lowest_order(fraction * n_grav, n_grav, g)))
     slope = np.polyfit(np.log(gts), np.log(errs), 1)[0]

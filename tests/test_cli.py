@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gravoptics.cli import ConfigError, ScenarioConfig, load_config, main
+from gravoptics.counting import PN_MAX
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -110,26 +111,6 @@ def test_byte_identical_reruns(tmp_path):
     assert t1.read_bytes() == t2.read_bytes()
 
 
-def test_threads_do_not_change_output(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["probs", "--config", str(SCRIPTS / "fig2_probs.json"), "--out", str(out1)]) == 0
-    assert (
-        main(
-            [
-                "probs",
-                "--config",
-                str(SCRIPTS / "fig2_probs.json"),
-                "--threads",
-                "4",
-                "--out",
-                str(out2),
-            ]
-        )
-        == 0
-    )
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_g2_sweep_structure(tmp_path):
     cfg = {
         "gw": {"x_total": 1.0, "fraction_q": 0.0, "split": "thermal"},
@@ -189,15 +170,94 @@ def test_bad_config_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("r", "message"), [(math.nan, "r must be finite"), (400.0, "overflows cosh(2r)")]
+    ("r", "message"),
+    [(math.nan, "r must be finite"), (400.0, "overflows cosh(2r)"), (300.0, "nu^2")],
 )
 def test_bad_gw_number_exit_code(tmp_path, capsys, r, message):
     path = tmp_path / "bad.json"
     cfg = {"gw": {"alpha_mag": 1.0, "r": r, "nbar": 0.1}, "detector": {"gamma_t": 0.3}}
     path.write_text(json.dumps(cfg))
+    for command in ("probs", "g2"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gw: ") and message in err, (command, err)
+
+
+DESK_PROBS = {
+    "gw": {"alpha_mag": 1.1, "alpha_phase": 0.4, "r": 0.5, "theta": 0.9, "nbar": 0.3},
+    "detector": {"gamma_t": 0.8},
+}
+
+
+def test_probs_high_n_max_matches_fock_oracle(tmp_path):
+    from gravoptics import fock
+    from gravoptics.states import GwSignalParams
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**DESK_PROBS, "n_max": 12}))
+    out = tmp_path / "o.csv"
+    assert main(["probs", "--config", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(13))
+    gw = DESK_PROBS["gw"]
+    p = GwSignalParams(
+        alpha=gw["alpha_mag"] * complex(math.cos(gw["alpha_phase"]), math.sin(gw["alpha_phase"])),
+        r=gw["r"],
+        theta=gw["theta"],
+        nbar=gw["nbar"],
+    )
+    oracle = fock.oracle_pn_table(p, DESK_PROBS["detector"]["gamma_t"], 12)
+    assert max(abs(float(r[1]) - oracle[n]) for n, r in enumerate(rows)) < 1e-8
+
+
+def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
+    from gravoptics import counting
+
+    calls = {"series": 0, "closed": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        counting, "exp_bivariate_quadratic", counted("series", counting.exp_bivariate_quadratic)
+    )
+    monkeypatch.setattr(counting, "closed_form_p012", counted("closed", counting.closed_form_p012))
+    path = tmp_path / "c.json"
+    for n_max, expected in ((7, {"series": 2, "closed": 2}), (2, {"series": 0, "closed": 2})):
+        calls.update(series=0, closed=0)
+        path.write_text(json.dumps({**DESK_PROBS, "n_max": n_max}))
+        assert main(["probs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        assert calls == expected, n_max
+
+
+@pytest.mark.parametrize(
+    ("change", "key"),
+    [
+        ({"n_max": 2.5}, "n_max"),
+        ({"n_max": -1}, "n_max"),
+        ({"n_max": PN_MAX + 1}, "n_max"),
+        ({"sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": 2.7}]}, "sweep[0].steps"),
+        ({"phases": 7}, "phases"),
+        (
+            {
+                "gw": {"x_total": 1.0, "fraction_q": 0.1, "split": "squeezed"},
+                "sweep": [{"parameter": "alpha_mag", "min": 0.1, "max": 0.9, "steps": 3}],
+            },
+            "sweep[0].parameter",
+        ),
+        ({"gw": {"x_total": 1.0, "fraction_q": 0.1, "theta": 0.5}}, "gw.theta"),
+        ({"gw": {"alpha_re": 1.0, "alpha_phase": 0.5}}, "gw.alpha_phase"),
+    ],
+)
+def test_config_boundary_exit_code(tmp_path, capsys, change, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**DESK_PROBS, **change}))
     assert main(["probs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: gw: ") and message in err
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
 def test_unknown_top_level_key_exit_code(tmp_path, capsys):

@@ -14,7 +14,7 @@ from gravoptics.counting import (
     delta_p1_lowest_order,
     delta_pn,
     evolved_bar_moments,
-    excitation_probability,
+    generating_pn_table,
     loop_hafnian,
     poisson_pn,
     rejected_p01_variant,
@@ -102,14 +102,15 @@ def test_coherent_matches_poisson_to_1e12():
             mu = mag * mag * math.sin(gt) ** 2
             p = GwSignalParams(alpha=mag)
             for n in range(6):
-                assert abs(excitation_probability(p, gt, n) - poisson_pn(mu, n)) < 1e-12
+                ph = prob_n_hafnian(evolved_bar_moments(p, gt), n)
+                assert abs(ph - poisson_pn(mu, n)) < 1e-12
 
 
 def test_thermal_geometric_distribution():
     # fully swapped thermal nbar = 1: P_n = (1/2)(1/2)^n
-    p = GwSignalParams(nbar=1.0)
+    bar = evolved_bar_moments(GwSignalParams(nbar=1.0), math.pi / 2)
     for n in range(5):
-        assert abs(excitation_probability(p, math.pi / 2, n) - 0.5**(n + 1)) < 1e-12
+        assert abs(prob_n_hafnian(bar, n) - 0.5**(n + 1)) < 1e-12
 
 
 def test_squeezed_vacuum_parity():
@@ -128,6 +129,21 @@ def test_generating_equals_hafnian(p, gt):
     bar = evolved_bar_moments(p, gt)
     for n in range(6):
         assert abs(prob_n_hafnian(bar, n) - prob_n_generating(bar, n)) < 1e-10
+
+
+def test_one_series_table_holds_every_level():
+    # a table to degree n_max gives each (n, n) level the bits of a table to degree n
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        p = GwSignalParams(
+            alpha=complex(*rng.uniform(-2.0, 2.0, 2)),
+            r=rng.uniform(0.0, 1.0),
+            theta=rng.uniform(0.0, 2 * math.pi),
+            nbar=rng.uniform(0.0, 2.0),
+        )
+        bar = evolved_bar_moments(p, rng.uniform(0.05, math.pi / 2))
+        table = generating_pn_table(bar, 8)
+        assert all(table[: n + 1] == generating_pn_table(bar, n) for n in range(9))
 
 
 def test_closed_form_examples():
@@ -212,14 +228,15 @@ def test_finalize_probability_clamp_policy():
 
 def test_delta_pn_zero_for_coherent():
     p = scaled_params(1.0, 0.0, "squeezed", 0.2)
-    for n in range(4):
-        d = delta_pn(p, 0.2, n)
+    rows = delta_pn(p, 0.2, 3)
+    assert [d.n for d in rows] == [0, 1, 2, 3]
+    for d in rows:
         assert d.delta == 0.0
         assert d.ratio == 0.0
 
 
 def test_delta_pn_ratio_flag():
-    d = delta_pn(GwSignalParams(alpha=0.0, nbar=0.4), 1e-10, 1)
+    d = delta_pn(GwSignalParams(alpha=0.0, nbar=0.4), 1e-10, 1)[1]
     # reference P_1 underflows to 0 at vanishing coupling: ratio undefined
     assert d.ratio is None or d.pn_coherent > 0.0
 
@@ -233,7 +250,7 @@ def test_delta_p1_expansion_converges_at_second_order():
     errs = []
     for gt in gts:
         p = scaled_params(x_total, fraction, "squeezed", gt)
-        exact = delta_pn(p, gt, 1).ratio
+        exact = delta_pn(p, gt, 1)[1].ratio
         n_grav = x_total / gt**2
         approx = delta_p1_lowest_order(fraction * n_grav, n_grav, gt)
         errs.append(abs(exact - approx))
@@ -247,13 +264,13 @@ def test_delta_p1_coherent_dominated_regime():
     gt = 1e-3
     n_grav = 1.0 / gt**2
     p_th = scaled_params(1.0, 1e-4, "thermal", gt)
-    exact = delta_pn(p_th, gt, 1).delta
+    exact = delta_pn(p_th, gt, 1)[1].delta
     approx = delta_p1_coherent_dominated(p_th, n_grav, gt)
     assert abs(exact - approx) / abs(approx) < 1e-2
 
     p_sq = scaled_params(1.0, 1e-4, "squeezed", gt)
     anti = GwSignalParams(alpha=p_sq.alpha, r=p_sq.r, theta=math.pi)
-    exact = delta_pn(anti, gt, 1).delta
+    exact = delta_pn(anti, gt, 1)[1].delta
     approx = delta_p1_coherent_dominated(anti, n_grav, gt)
     assert abs(exact - approx) / abs(approx) < 1e-2
     # and the n_q scaling form holds as an order-of-magnitude statement
@@ -266,7 +283,7 @@ def test_delta_p1_coherent_dominated_regime():
         r=scaled_params(1.0, 1e-3, "squeezed", gt).r,
         theta=math.pi,
     )
-    ratio = delta_pn(anti2, gt, 1).delta / exact
+    ratio = delta_pn(anti2, gt, 1)[1].delta / exact
     assert abs(ratio - anti2.n_quantum / n_q) / (anti2.n_quantum / n_q) < 0.05
 
 
@@ -301,5 +318,5 @@ def test_astrophysical_scale_pipeline_is_finite():
     assert 0.0 < p0 < 1.0 and 0.0 < p1 < 1.0 and 0.0 < p2 < 1.0
     bar = evolved_bar_moments(p, gt)
     assert abs(prob_n_hafnian(bar, 1) - p1) < 1e-12
-    d = delta_pn(p, gt, 1)
+    d = delta_pn(p, gt, 1)[1]
     assert abs(d.ratio) < 1.0
