@@ -274,6 +274,11 @@ def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
 
 def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
     sweep_names = [axis["parameter"] for axis in cfg.sweep]
+    if not cfg.scaled and "gamma_t" in sweep_names:
+        raise ConfigError(
+            f"sweep[{sweep_names.index('gamma_t')}].parameter: g2 of direct gw parameters "
+            "does not depend on gamma_t, so a gamma_t axis would give identical rows"
+        )
     header = sweep_names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
     rows = []
     for point in _grid(cfg):
@@ -331,6 +336,8 @@ def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
 
 
 def cmd_tomo(cfg: ScenarioConfig, args) -> dict:
+    if cfg.sweep:
+        raise ConfigError("sweep: tomo runs one round trip and reads no sweep axes")
     gamma_t = cfg.gamma_t({})
     p = cfg.gw_params({}, gamma_t)
     beta_mag = float(cfg.extra.get("beta_mag", 2.0))

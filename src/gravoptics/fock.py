@@ -3,6 +3,15 @@
 Works at desk scale only (|alpha| of order unity, r <= 1 or so, nbar a few):
 exact density matrices on a per-mode cutoff, an exactly number-conserving
 exchange unitary built block-by-block, and direct operator averages.
+
+Every generator exponentiated here is a zero-diagonal Hermitian tridiagonal
+chain: the displacement on all levels, the squeeze once on the even and once
+on the odd levels, the exchange on each total-number block.  ``_chain_expm``
+turns each chain real by a diagonal phase similarity and exponentiates the
+same truncated matrix through one real ``eigh``; no state the oracle checks
+is built from the Gaussian kernels it is checked against.  Each density
+matrix is checked for unit trace, Hermiticity and positivity (a Cholesky
+factorization shifted by the floor), and the module imports no scipy.
 """
 
 from __future__ import annotations
@@ -17,8 +26,12 @@ from .states import GwSignalParams
 
 DEFAULT_TAIL_TOL = 1e-8
 # squeezed thermal corners of the validation box (nbar ~ 2, r ~ 1) decay like
-# 0.95^n and need cutoffs well past 200 before the top level drops below 1e-8
+# 0.95^n and need cutoffs well past 200 before the top level drops below 1e-8.
+# The first cutoff guess stays at or below MAX_DIM; only a tail failure there
+# grows the cutoff further, up to GROWTH_MAX_DIM (|alpha| = 2 along the
+# anti-squeezed quadrature at r = 1, nbar = 2 fails at 320 and passes at 340)
 MAX_DIM = 320
+GROWTH_MAX_DIM = 448
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
@@ -43,8 +56,12 @@ class TruncatedState:
             raise ValueError("density matrix trace must be 1")
         if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix must be Hermitian")
-        if np.linalg.eigvalsh(rho).min() < POSITIVITY_FLOOR:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        # Cholesky of rho - floor * I succeeds exactly when no eigenvalue of rho
+        # lies below the floor, at a fraction of the cost of the spectrum
+        try:
+            np.linalg.cholesky(rho - POSITIVITY_FLOOR * np.eye(size))
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix has a negative eigenvalue beyond tolerance") from None
         object.__setattr__(self, "rho", rho)
 
 
@@ -52,58 +69,76 @@ def annihilation(dim: int) -> NDArray[np.float64]:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def _renormalized_expm(gen: NDArray[np.complex128]) -> tuple[NDArray[np.complex128], float]:
-    """expm of a truncated anti-Hermitian generator, columns renormalized.
+def _chain_expm(off: NDArray) -> NDArray[np.complex128]:
+    """exp(-i H) for the Hermitian tridiagonal H with zero diagonal and H[j+1, j] = off[j].
 
-    Exponentiated through the spectral decomposition of the (Hermitian)
-    i * generator, which is exact for the truncated matrix and keeps the
-    result unitary to rounding.  Truncation makes the top columns lose
-    fidelity rather than norm; the norm deficit is still measured and
-    divided out, and the largest deficit is returned as the leakage.
+    The diagonal phase similarity H = P T P† with P = diag(prod_{i<j} off_i / |off_i|)
+    makes T real symmetric with T[j+1, j] = |off_j|, so one real eigh of the same
+    truncated matrix gives exp(-i T) = Q cos(w) Q^T - i Q sin(w) Q^T from two
+    real matmuls.  Phases multiply exactly for real or imaginary couplings.
     """
-    herm = 1j * gen
-    if np.max(np.abs(herm - herm.conj().T)) > 1e-12 * max(1.0, np.abs(herm).max()):
-        from scipy.linalg import expm  # deferred: scipy is off the import path
+    off = np.asarray(off, dtype=complex)
+    mag = np.abs(off)
+    unit = np.ones(len(off) + 1, dtype=complex)
+    np.divide(off, mag, out=unit[1:], where=mag > 0.0)
+    phase = np.cumprod(unit)
+    w, q = np.linalg.eigh(np.diag(mag, 1) + np.diag(mag, -1))
+    op = (q * np.cos(w)) @ q.T - 1j * ((q * np.sin(w)) @ q.T)
+    return phase[:, None] * op * phase.conj()[None, :]
 
-        op = expm(gen)
-    else:
-        w, v = np.linalg.eigh(herm)
-        op = (v * np.exp(-1j * w)) @ v.conj().T
+
+def _renormalize_columns(op: NDArray[np.complex128]) -> tuple[NDArray[np.complex128], float]:
+    """Divide out the column-norm deficit of a truncated unitary; the largest is the leakage.
+
+    Truncation makes the top columns lose fidelity rather than norm, so the
+    leakage stays at rounding level; it is still measured and returned.
+    """
     norms = np.linalg.norm(op, axis=0)
     leakage = float(np.max(np.abs(1.0 - norms)))
     return op / norms, leakage
 
 
 def displacement_op(alpha: complex, dim: int) -> tuple[NDArray[np.complex128], float]:
-    a = annihilation(dim)
-    return _renormalized_expm(alpha * a.T.conj() - np.conj(alpha) * a)
+    """exp(alpha a† - alpha* a) on the cutoff, as the chain with couplings i alpha sqrt(j + 1)."""
+    off = 1j * complex(alpha) * np.sqrt(np.arange(1.0, dim))
+    return _renormalize_columns(_chain_expm(off))
 
 
 def squeeze_op(r: float, theta: float, dim: int) -> tuple[NDArray[np.complex128], float]:
-    a = annihilation(dim)
+    """exp((xi* a^2 - xi a†^2) / 2) on the cutoff, xi = r e^{i theta}.
+
+    The generator couples |j> to |j + 2> only, so it is two tridiagonal
+    chains, one on the even and one on the odd levels, with couplings
+    -i xi sqrt((j + 1)(j + 2)) / 2.
+    """
     xi = r * np.exp(1j * theta)
-    return _renormalized_expm(0.5 * (np.conj(xi) * (a @ a) - xi * (a.T @ a.T)))
+    op = np.zeros((dim, dim), dtype=complex)
+    for parity in range(min(2, dim)):
+        j = np.arange(parity, dim - 2, 2, dtype=float)
+        op[parity::2, parity::2] = _chain_expm(-0.5j * xi * np.sqrt((j + 1.0) * (j + 2.0)))
+    return _renormalize_columns(op)
 
 
-def thermal_density(nbar: float, dim: int) -> NDArray[np.complex128]:
-    """Geometric-weight thermal state, trace-normalized on the cutoff space."""
+def thermal_weights(nbar: float, dim: int) -> NDArray[np.float64]:
+    """Geometric level populations of the thermal state, normalized on the cutoff space."""
     if nbar == 0.0:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
+        weights = np.zeros(dim)
+        weights[0] = 1.0
+        return weights
     weights = np.exp(np.arange(dim) * math.log(nbar / (nbar + 1.0)))
-    weights /= weights.sum()
-    return np.diag(weights).astype(complex)
+    return weights / weights.sum()
 
 
 def build_gw_density(
     p: GwSignalParams, dim: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> TruncatedState:
     """Displaced squeezed thermal density matrix D S rho_th S† D†."""
-    rho = thermal_density(p.nbar, dim)
+    weights = thermal_weights(p.nbar, dim)
     if p.r != 0.0:
         s, _ = squeeze_op(p.r, p.theta, dim)
-        rho = s @ rho @ s.conj().T
+        rho = (s * weights) @ s.conj().T  # S diag(w) S†
+    else:
+        rho = np.diag(weights).astype(complex)
     if p.alpha != 0:
         d, _ = displacement_op(p.alpha, dim)
         rho = d @ rho @ d.conj().T
@@ -148,13 +183,14 @@ def _gw_density(p: GwSignalParams, dim: int | None, tail_tol: float) -> Truncate
         try:
             return build_gw_density(p, dim, tail_tol)
         except ValueError:
-            if dim >= MAX_DIM:
+            if dim >= GROWTH_MAX_DIM:
                 raise
-            dim = min(MAX_DIM, int(dim * 1.25) + 1)
+            # growth still stops at MAX_DIM once on the way, as the first guess does
+            dim = min(MAX_DIM if dim < MAX_DIM else GROWTH_MAX_DIM, int(dim * 1.25) + 1)
 
 
 def choose_dim(p: GwSignalParams, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest cutoff with acceptable tail mass, capped at MAX_DIM."""
+    """Smallest cutoff with acceptable tail mass found by the adaptive search."""
     return _gw_density(p, None, tail_tol).dim
 
 
@@ -169,14 +205,8 @@ def _block_unitary(
     the unrestricted block reproduces the untruncated dynamics.
     """
     j_hi = total_n if j_hi is None else j_hi
-    size = j_hi - j_lo + 1
-    if size == 1:
-        return np.ones((1, 1), dtype=complex)
     j = np.arange(j_lo, j_hi)
-    off = np.sqrt((total_n - j) * (j + 1.0))
-    tri = np.diag(off, 1) + np.diag(off, -1)
-    w, q = np.linalg.eigh(tri)
-    return (q * np.exp(-1j * gamma_t * w)) @ q.T
+    return _chain_expm(gamma_t * np.sqrt((total_n - j) * (j + 1.0)))
 
 
 def beamsplitter_unitary(gamma_t: float, dim: int) -> NDArray[np.complex128]:
@@ -205,9 +235,9 @@ def _splitting_amplitudes(
     sqrt(C(k + m, m)) cos^k(gamma_t) (-i sin gamma_t)^m; agrees with the
     exponentiated block to rounding and is what the fast marginal path uses.
     """
-    from scipy.special import gammaln  # deferred: scipy is off the import path
-
-    log_binom = gammaln(k + m + 1) - gammaln(m + 1) - gammaln(k + 1)
+    top = int(np.max(k + m)) + 1
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(top)])
+    log_binom = log_fact[k + m] - log_fact[m] - log_fact[k]
     c, s = math.cos(gamma_t), math.sin(gamma_t)
     mag = np.exp(0.5 * log_binom) * np.abs(c) ** k * np.abs(s) ** m
     phase = np.sign(c) ** k * (-1j * np.sign(s)) ** m

@@ -164,6 +164,12 @@ class GwSignalParams:
             raise ValueError(
                 f"r = {self.r}, nbar = {self.nbar} overflows cosh(2r): nu^2 must be finite"
             )
+        mag = abs(complex(self.alpha))
+        mean = mag * mag + float(nu) - 0.5  # Python float products overflow to inf, never raise
+        if not math.isfinite(mean * mean):  # the Wick kernel squares <a†a>
+            raise ValueError(
+                f"|alpha| = {mag} overflows: |alpha|^2 and <a†a>^2 must be finite"
+            )
         object.__setattr__(self, "alpha", complex(self.alpha))
 
     def central_moments(self) -> tuple[complex, float, float]:

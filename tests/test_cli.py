@@ -170,12 +170,19 @@ def test_bad_config_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("r", "message"),
-    [(math.nan, "r must be finite"), (400.0, "overflows cosh(2r)"), (300.0, "nu^2")],
+    ("bad", "message"),
+    [
+        pytest.param({"r": math.nan}, "r must be finite", id="nan-r must be finite"),
+        pytest.param({"r": 400.0}, "overflows cosh(2r)", id="400.0-overflows cosh(2r)"),
+        pytest.param({"r": 300.0}, "nu^2", id="300.0-nu^2"),
+        # |alpha|^2 overflows; |alpha|^2 is finite but <a†a>^2 is not
+        pytest.param({"alpha_mag": 1e200}, "|alpha|^2", id="alpha_mag 1e200"),
+        pytest.param({"alpha_mag": 1e100}, "<a†a>^2", id="alpha_mag 1e100"),
+    ],
 )
-def test_bad_gw_number_exit_code(tmp_path, capsys, r, message):
+def test_bad_gw_number_exit_code(tmp_path, capsys, bad, message):
     path = tmp_path / "bad.json"
-    cfg = {"gw": {"alpha_mag": 1.0, "r": r, "nbar": 0.1}, "detector": {"gamma_t": 0.3}}
+    cfg = {"gw": {"alpha_mag": 1.0, "r": 0.2, "nbar": 0.1, **bad}, "detector": {"gamma_t": 0.3}}
     path.write_text(json.dumps(cfg))
     for command in ("probs", "g2"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
@@ -251,12 +258,30 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
         ),
         ({"gw": {"x_total": 1.0, "fraction_q": 0.1, "theta": 0.5}}, "gw.theta"),
         ({"gw": {"alpha_re": 1.0, "alpha_phase": 0.5}}, "gw.alpha_phase"),
+        (
+            {
+                "subcommand": "g2",
+                "detector": {},
+                "sweep": [{"parameter": "gamma_t", "min": 0.1, "max": 1.0, "steps": 3}],
+            },
+            "sweep[0].parameter",
+        ),
+        (
+            {
+                "subcommand": "tomo",
+                "sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": 3}],
+            },
+            "sweep",
+        ),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):
+    # a case runs probs unless it names another subcommand
+    config = {**DESK_PROBS, **change}
+    command = config.pop("subcommand", "probs")
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**DESK_PROBS, **change}))
-    assert main(["probs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
@@ -270,10 +295,12 @@ def test_unknown_top_level_key_exit_code(tmp_path, capsys):
 
 
 def test_figure_commands_do_not_import_scipy(tmp_path):
-    """scipy serves only oracle-check, the Fock oracle and the Lyapunov path."""
+    """scipy serves only the Lyapunov path: the figure commands and the Fock oracle load none."""
     code = f"""
 import sys
 import gravoptics.cli as cli
+from gravoptics import fock
+from gravoptics.states import GwSignalParams
 scripts, out = {str(SCRIPTS)!r}, {str(tmp_path)!r}
 for argv in (
     ["probs", "--config", scripts + "/fig2_probs.json"],
@@ -282,6 +309,11 @@ for argv in (
     ["physical", "--config", scripts + "/weber_bar.json"],
 ):
     assert cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
+p = GwSignalParams(alpha=0.8 + 0.3j, r=0.4, theta=0.9, nbar=0.3)
+fock.oracle_pn_table(p, 0.7, 4)
+fock.oracle_moments_and_g2(p, 0.7)
+fock.oracle_normal_moment(p, 1, 1)
+fock.oracle_min_quadrature_variance(p, 0.7)
 leaked = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not leaked, leaked
 """

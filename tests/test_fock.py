@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gravoptics import fock
-from gravoptics.counting import evolved_bar_moments, poisson_pn, prob_n_hafnian
+from gravoptics.counting import (
+    evolved_bar_moments,
+    poisson_pn,
+    prob_n_generating,
+    prob_n_hafnian,
+)
 from gravoptics.states import GwSignalParams
 
 
@@ -37,6 +43,33 @@ def test_truncated_state_validation():
     bad[0, 1] = 0.5j  # breaks Hermiticity
     with pytest.raises(ValueError):
         fock.TruncatedState(2, bad, 0.0)
+    # Hermitian, unit trace, smallest eigenvalue just past or just inside the floor
+    basis = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + 1j * np.eye(3))[0]
+    for lowest, accepted in ((-1e-9, False), (-1e-11, True)):
+        rho3 = (basis * [0.6 - lowest, 0.4, lowest]) @ basis.conj().T
+        rho3 = (rho3 + rho3.conj().T) / 2.0
+        assert np.linalg.eigvalsh(rho3).min() == pytest.approx(lowest, rel=1e-4)
+        if accepted:
+            fock.TruncatedState(3, rho3, 0.0)
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                fock.TruncatedState(3, rho3, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 21, 40])
+def test_structured_operators_match_dense_expm(dim):
+    a = fock.annihilation(dim)
+    for alpha in (0.0, 1.3, -0.7, 1.1j, complex(0.8, -0.6), 2.3 * np.exp(0.4j)):
+        d, leakage = fock.displacement_op(alpha, dim)
+        ref = expm(alpha * a.T - np.conj(alpha) * a)
+        assert np.max(np.abs(d - ref)) < 1e-12, alpha
+        assert leakage < 1e-12
+    for r, theta in ((0.4, 0.0), (1.0, math.pi), (0.7, 2.1), (1.2, -0.5)):
+        xi = r * np.exp(1j * theta)
+        s, leakage = fock.squeeze_op(r, theta, dim)
+        ref = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (a.T @ a.T)))
+        assert np.max(np.abs(s - ref)) < 1e-12, (r, theta)
+        assert leakage < 1e-12
 
 
 def test_beamsplitter_unitary_blocks():
@@ -144,3 +177,15 @@ def test_oracle_builds_each_density_once(monkeypatch):
 def test_tail_rejection():
     with pytest.raises(ValueError):
         fock.build_gw_density(GwSignalParams(alpha=2.0, nbar=2.0), 12)
+
+
+def test_oracle_reaches_past_max_dim_at_the_anti_squeezed_corner():
+    # |alpha| = 2 along the anti-squeezed quadrature at r = 1, nbar = 2: the
+    # tail at MAX_DIM is still above 1e-8, so the cutoff grows past it
+    p = GwSignalParams(alpha=2.0, r=1.0, theta=math.pi, nbar=2.0)
+    gt = 0.7
+    table = fock.oracle_pn_table(p, gt, 6)
+    assert fock.MAX_DIM < fock.choose_dim(p) <= fock.GROWTH_MAX_DIM
+    bar = evolved_bar_moments(p, gt)
+    for n in range(7):
+        assert abs(prob_n_generating(bar, n) - table[n]) < 1e-8
