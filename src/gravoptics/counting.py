@@ -143,6 +143,8 @@ def loop_hafnian(b: NDArray[np.complex128]) -> complex:
 
 
 def _finalize_probability(value: float, imag: float, context: str) -> float:
+    if not (math.isfinite(value) and math.isfinite(imag)):
+        raise ValueError(f"{context}: non-finite probability {value} (imag {imag})")
     if abs(imag) > 1e-8 * max(1.0, abs(value)):
         raise ValueError(f"{context}: non-real probability (imag {imag:.3e})")
     if value < -NEGATIVE_CLAMP:

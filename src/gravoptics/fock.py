@@ -9,9 +9,11 @@ chain: the displacement on all levels, the squeeze once on the even and once
 on the odd levels, the exchange on each total-number block.  ``_chain_expm``
 turns each chain real by a diagonal phase similarity and exponentiates the
 same truncated matrix through one real ``eigh``; no state the oracle checks
-is built from the Gaussian kernels it is checked against.  Each density
-matrix is checked for unit trace, Hermiticity and positivity (a Cholesky
-factorization shifted by the floor), and the module imports no scipy.
+is built from the Gaussian kernels it is checked against.  The detector
+marginal is the sum over the exact binomial Kraus amplitudes <k, m| U |k+m, 0>,
+done as one real Toeplitz matmul on a rescaled rho, never as the joint state.
+Each density matrix is checked for unit trace, Hermiticity and positivity (a
+Cholesky factorization shifted by the floor), and the module imports no scipy.
 """
 
 from __future__ import annotations
@@ -226,35 +228,23 @@ def beamsplitter_unitary(gamma_t: float, dim: int) -> NDArray[np.complex128]:
     return u
 
 
-def _splitting_amplitudes(
-    k: NDArray[np.int_], m: NDArray[np.int_], gamma_t: float
-) -> NDArray[np.complex128]:
-    """Exact amplitudes <k, m| U |k + m, 0> over broadcast index arrays k, m.
-
-    U (a†)^N U† = (cos a† - i sin b†)^N gives the binomial closed form
-    sqrt(C(k + m, m)) cos^k(gamma_t) (-i sin gamma_t)^m; agrees with the
-    exponentiated block to rounding and is what the fast marginal path uses.
-    """
-    top = int(np.max(k + m)) + 1
-    log_fact = np.array([math.lgamma(n + 1.0) for n in range(top)])
-    log_binom = log_fact[k + m] - log_fact[m] - log_fact[k]
-    c, s = math.cos(gamma_t), math.sin(gamma_t)
-    mag = np.exp(0.5 * log_binom) * np.abs(c) ** k * np.abs(s) ** m
-    phase = np.sign(c) ** k * (-1j * np.sign(s)) ** m
-    return mag * phase
-
-
 def splitting_column(total_n: int, gamma_t: float) -> NDArray[np.complex128]:
-    """Amplitudes <total_n - m, m| U |total_n, 0> for m = 0..total_n."""
+    """Amplitudes <total_n - m, m| U |total_n, 0> = sqrt(C(N, m)) cos^(N-m) (-i sin)^m.
+
+    The binomial closed form follows from U (a†)^N U† = (cos a† - i sin b†)^N;
+    it agrees with the exponentiated block to rounding.
+    """
     m = np.arange(total_n + 1)
-    return _splitting_amplitudes(total_n - m, m, gamma_t)
+    binom = np.array([math.comb(total_n, j) for j in m], dtype=float)
+    mag = np.sqrt(binom) * math.cos(gamma_t) ** (total_n - m) * math.sin(gamma_t) ** m
+    return mag * np.array([1.0, -1j, -1.0, 1j])[m % 4]
 
 
-def splitting_table(dim: int, gamma_t: float) -> NDArray[np.complex128]:
-    """v[k, m] = <k, m| U |k + m, 0> on the support k + m < dim, zero elsewhere."""
-    k = np.arange(dim)[:, None]
-    m = np.arange(dim)[None, :]
-    return np.where(k + m < dim, _splitting_amplitudes(k, m, gamma_t), 0.0)
+def _skew(buffer: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """View [j, d] -> buffer[j, j + d] of a C-contiguous (dim, 2 dim) buffer, d < dim."""
+    dim = buffer.shape[0]
+    row, item = buffer.strides
+    return np.lib.stride_tricks.as_strided(buffer, (dim, dim), (row + item, item))
 
 
 def evolved_bar_density(
@@ -262,18 +252,44 @@ def evolved_bar_density(
 ) -> tuple[NDArray[np.complex128], float]:
     """Detector marginal of U (rho_gw ⊗ |0><0|) U† without forming the joint.
 
-    rho_bar[m, n] = sum_k V[k, m] rho_gw[k+m, k+n] conj(V[k, n]) with
-    V[k, m] = <k, m| U |k+m, 0>, accumulated block by block over k.
+    rho_bar[m, n] = sum_k V[k, m] rho_gw[k+m, k+n] conj(V[k, n]) with the
+    binomial Kraus amplitudes V[k, m] = <k, m| U |k+m, 0> =
+    sqrt(C(k+m, m)) c^k (-i s)^m, c = cos gamma_t, s = sin gamma_t.  With
+    rho~[i, j] = rho_gw[i, j] sqrt(i! j!) lam^(-i-j), lam = sqrt(dim), the sum
+    factorizes as b_m conj(b_n) sum_k w_k rho~[k+m, k+n] with
+    w_k = (c lam)^(2k) / k! and b_m = (-i s lam)^m / sqrt(m!); lam keeps every
+    factor inside double range up to GROWTH_MAX_DIM.  In skew storage
+    S[j, d] = rho~[j, j+d] (zero for j + d >= dim) every offset d is one real
+    matmul T @ S with the upper-triangular Toeplitz T[m, j] = w_(j-m); the
+    upper triangle is scattered back and the lower one filled by Hermiticity.
     Returns (rho_bar, tail_mass of the marginal).
     """
     dim = gw.dim
-    v = splitting_table(dim, gamma_t)
-    rho_bar = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        span = dim - k
-        sub = gw.rho[k : k + span, k : k + span]
-        rho_bar[:span, :span] += v[k, :span, None] * sub * np.conj(v[k, None, :span])
-    rho_bar = (rho_bar + rho_bar.conj().T) / 2.0
+    lam = math.sqrt(dim)
+    c, s = math.cos(gamma_t), math.sin(gamma_t)
+    levels = np.arange(1.0, dim)
+    # cumulative products rather than logs, so c = 0 or s = 0 needs no special case
+    scale = np.cumprod(np.concatenate(([1.0], np.sqrt(levels) / lam)))  # sqrt(i!) lam^-i
+    w = np.cumprod(np.concatenate(([1.0], (c * c * dim) / levels)))
+    b = np.cumprod(np.concatenate(([1.0 + 0j], (-1j * s * lam) / np.sqrt(levels))))
+
+    buffer = np.zeros((dim, 2 * dim), dtype=complex)
+    np.multiply(gw.rho, scale[:, None], out=buffer[:, :dim])
+    buffer[:, :dim] *= scale
+    toeplitz = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.zeros(dim - 1), w)), dim
+    )[::-1]
+    summed = (toeplitz @ _skew(buffer).view(np.float64)).view(complex)
+
+    buffer.fill(0.0)
+    _skew(buffer)[...] = summed
+    del summed  # frees the product before the Hermitian fill allocates rho_bar
+    upper = buffer[:, :dim]
+    upper *= b[:, None]
+    upper *= b.conj()
+    rho_bar = np.triu(upper, 1)
+    rho_bar += np.conjugate(upper, out=upper).T
+    np.fill_diagonal(rho_bar.imag, 0.0)
     return rho_bar, float(rho_bar[dim - 1, dim - 1].real)
 
 

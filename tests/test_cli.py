@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,22 @@ def test_bad_gw_number_exit_code(tmp_path, capsys, bad, message):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: gw: ") and message in err, (command, err)
+
+
+@pytest.mark.parametrize("alpha_mag", [1e70, 1e50])
+def test_probs_non_finite_row_is_a_numerical_failure(tmp_path, capsys, alpha_mag):
+    # accepted by the config boundary, but the n >= 3 series overflows to NaN:
+    # no NaN row may be printed with exit 0
+    path = tmp_path / "c.json"
+    cfg = {"gw": {"alpha_mag": alpha_mag, "r": 0.3}, "detector": {"gamma_t": 0.3}, "n_max": 4}
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["probs", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical check failure: P_") and "non-finite" in err, err
+    assert not out.exists()
 
 
 DESK_PROBS = {

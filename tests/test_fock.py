@@ -143,16 +143,41 @@ def test_truncation_convergence():
 
 
 def test_splitting_column_matches_block_exponential():
-    dim = 18
     for gt in (0.0, 0.4, math.pi / 2, 2.5, -0.7):
-        table = fock.splitting_table(dim, gt)
         for total_n in (0, 1, 4, 11, 17):
             block = fock._block_unitary(total_n, gt)[:, 0]
-            m = np.arange(total_n + 1)
             assert np.max(np.abs(fock.splitting_column(total_n, gt) - block)) < 1e-12
-            assert np.max(np.abs(table[total_n - m, m] - block)) < 1e-12
-        k, m = np.indices(table.shape)
-        assert np.all(table[k + m >= dim] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [6, 11, 18])
+def test_bar_marginal_matches_partial_trace_of_beamsplitter(dim):
+    # an arbitrary full-rank density matrix, so every entry of rho enters
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    gw = fock.TruncatedState(dim, rho / np.trace(rho).real, 0.0)
+    vacuum = np.zeros((dim, dim))
+    vacuum[0, 0] = 1.0
+    for gt in (0.0, 0.4, math.pi / 2, math.pi, 2.5, -0.7):
+        u = fock.beamsplitter_unitary(gt, dim)
+        joint = (u @ np.kron(gw.rho, vacuum) @ u.conj().T).reshape(dim, dim, dim, dim)
+        expected = np.einsum("gbgc->bc", joint)
+        rho_bar, tail = fock.evolved_bar_density(gw, gt)
+        assert np.max(np.abs(rho_bar - expected)) < 1e-12, gt
+        assert tail == rho_bar[dim - 1, dim - 1].real
+
+
+@pytest.mark.parametrize("gt", [0.0, math.pi / 2, math.pi, -0.7])
+def test_bar_marginal_at_growth_max_dim(gt):
+    # the anti-squeezed corner forced onto the largest cutoff the search may reach,
+    # where the rescaled factors of the marginal come closest to the double range
+    p = GwSignalParams(alpha=2j, r=1.0, theta=0.0, nbar=2.0)
+    dim = fock.GROWTH_MAX_DIM
+    bar = fock.oracle_bar_state(p, gt, dim=dim)
+    assert bar.dim == dim and np.all(np.isfinite(bar.rho))
+    moments = evolved_bar_moments(p, gt)
+    for n in range(7):
+        assert abs(prob_n_generating(moments, n) - bar.rho[n, n].real) < 1e-8, n
 
 
 def test_oracle_builds_each_density_once(monkeypatch):
