@@ -2,7 +2,6 @@
 
 from .counting import (
     CountingMatrices,
-    ProbabilityTable,
     aligned_closed_form_p01,
     closed_form_p012,
     counting_matrices,
@@ -14,14 +13,11 @@ from .counting import (
     poisson_pn,
     prob_n_generating,
     prob_n_hafnian,
-    probability_table,
     scaled_params,
 )
 from .correlations import (
     G2Report,
-    MomentRequest,
     g2_bar_after_evolution,
-    g2_formula_discrepancy,
     g2_ideal,
     g2_main_text_formula,
     g2_open,
@@ -29,8 +25,6 @@ from .correlations import (
     g2_ratio_estimator,
     g2_thermal_detector,
     g2_thermal_detector_closed_form,
-    mandel_q,
-    s_ordered_moment,
 )
 from .dynamics import (
     CouplingContext,
@@ -51,7 +45,6 @@ from .physical import (
     coupling_gamma,
     graviton_flux,
     noise_thresholds,
-    nq_decomposition,
 )
 from .states import (
     GaussianState,
@@ -59,10 +52,8 @@ from .states import (
     LadderMoments,
     SymplecticMap,
     apply_symplectic,
-    check_physical,
     from_ladder,
     make_gw_state,
-    make_thermal,
     make_vacuum,
     reduce_modes,
     symplectic_eigenvalues,

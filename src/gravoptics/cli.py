@@ -58,6 +58,23 @@ SCALED_KEYS = ("x_total", "fraction_q", "split")
 POLAR_KEYS = ("alpha_mag", "alpha_phase", "r", "theta", "nbar")
 CARTESIAN_KEYS = ("alpha_re", "alpha_im", "r", "theta", "nbar")
 
+# detector keys of a physical detector (the alternative is gamma_t alone),
+# with the lower bound each number must exceed (">") or reach (">=")
+PHYSICAL_KEYS = {
+    "mass": ">",
+    "length": ">",
+    "omega_ell": ">",
+    "ell": ">",
+    "gw_volume": ">",
+    "quality_factor": ">",
+    "temperature": ">=",
+    "nu": ">",
+    "t": ">=",
+}
+PHYSICAL_REQUIRED = ("mass", "length", "omega_ell")
+NOISE_KEYS = ("epsilon",)
+OUTPUT_KEYS = ("path", "format")
+
 
 class ConfigError(Exception):
     """Configuration problem, reported with the offending key path."""
@@ -71,6 +88,31 @@ def _check_integer(value, key: str, lo: int, hi: float = math.inf) -> None:
     """Reject all but a JSON integer in [lo, hi] (an integral float such as 3.0 counts)."""
     if type(value) not in (int, float) or not float(value).is_integer() or not lo <= value <= hi:
         raise ConfigError(f"{key}: must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _check_number(value, key: str, bound: str = "") -> None:
+    """Reject all but a finite JSON number, > 0 or >= 0 when bound says so."""
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite or (bound == ">" and value <= 0) or (bound == ">=" and value < 0):
+        need = f" {bound} 0" if bound else ""
+        raise ConfigError(f"{key}: must be a finite number{need}, got {value!r}")
+
+
+def _check_drive(value, key: str, bound: str) -> None:
+    """A drive amplitude: the tomography terms raise it to the fourth power."""
+    _check_number(value, key, bound)
+    v = float(value)
+    if not math.isfinite(v * v * v * v):
+        raise ConfigError(f"{key}: {value!r} overflows: |beta|^4 must be finite")
+
+
+def _check_keys(section: dict, name: str, known) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{name}.{key}: unknown key (choose from {', '.join(known)})")
 
 
 def _detector_config(det: dict) -> DetectorConfig:
@@ -105,6 +147,11 @@ class ScenarioConfig:
                 f"{unknown[0]}: unknown top-level key "
                 f"(choose from {sorted(known | EXTRA_KEYS)})"
             )
+        for key in ("gw", "detector", "noise", "output"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(f"{key}: must be a JSON object")
+        if not isinstance(raw.get("sweep", []), list):
+            raise ConfigError("sweep: must be a list of axes")
         cfg = cls(
             gw=dict(raw.get("gw", {})),
             detector=dict(raw.get("detector", {})),
@@ -117,38 +164,82 @@ class ScenarioConfig:
         return cfg
 
     def validate(self) -> None:
-        has_gamma_t = "gamma_t" in self.detector
-        physical_keys = {"mass", "length", "omega_ell"}
-        has_physical = physical_keys.issubset(self.detector)
-        if has_gamma_t and has_physical:
-            raise ConfigError("detector: give either gamma_t or a physical detector, not both")
-        if not has_gamma_t and not has_physical and self.detector:
-            raise ConfigError(
-                "detector: incomplete physical spec (needs mass, length, omega_ell)"
-            )
+        self._check_detector()
         if len(self.sweep) > 2:
             raise ConfigError("sweep: at most 2 axes supported")
         sweepable = {"gamma_t", *SCALED_KEYS, *POLAR_KEYS, *CARTESIAN_KEYS} - {"split"}
         for i, axis in enumerate(self.sweep):
+            if not isinstance(axis, dict):
+                raise ConfigError(f"sweep[{i}]: must be a JSON object")
             for key in ("parameter", "min", "max", "steps"):
                 if key not in axis:
                     raise ConfigError(f"sweep[{i}].{key}: required")
-            if axis["parameter"] not in sweepable:
+            if not isinstance(axis["parameter"], str) or axis["parameter"] not in sweepable:
                 raise ConfigError(
                     f"sweep[{i}].parameter: {axis['parameter']!r} is not sweepable "
                     f"(choose from {sorted(sweepable)})"
                 )
-            if axis.get("scale", "lin") not in ("lin", "log"):
+            scale = axis.get("scale", "lin")
+            if scale not in ("lin", "log"):
                 raise ConfigError(f"sweep[{i}].scale: must be 'lin' or 'log'")
+            for key in ("min", "max"):
+                _check_number(axis[key], f"sweep[{i}].{key}", ">" if scale == "log" else "")
             _check_integer(axis["steps"], f"sweep[{i}].steps", 1)
         self._check_parameterization()
-        if "n_max" in self.extra:
-            _check_integer(self.extra["n_max"], "n_max", 0, counting.PN_MAX)
-        if "phases" in self.extra:
-            _check_integer(self.extra["phases"], "phases", tomography.MIN_PHASES)
+        self._check_extra()
+        _check_keys(self.noise, "noise", NOISE_KEYS)
+        if "epsilon" in self.noise:
+            _check_number(self.noise["epsilon"], "noise.epsilon", ">=")
+        _check_keys(self.output, "output", OUTPUT_KEYS)
+        path = self.output.get("path")
+        if path is not None and not (isinstance(path, str) and path):
+            raise ConfigError(f"output.path: must be a non-empty string, got {path!r}")
         fmt = self.output.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError("output.format: must be 'csv' or 'json'")
+
+    def _check_extra(self) -> None:
+        """The top-level numbers a subcommand reads."""
+        extra = self.extra
+        if "n_max" in extra:
+            _check_integer(extra["n_max"], "n_max", 0, counting.PN_MAX)
+        if "phases" in extra:
+            _check_integer(extra["phases"], "phases", tomography.MIN_PHASES)
+        if "h_strain" in extra:
+            _check_number(extra["h_strain"], "h_strain", ">")
+        if "beta_mag" in extra:
+            _check_drive(extra["beta_mag"], "beta_mag", ">")
+        if "betas" in extra:
+            betas = extra["betas"]
+            if not isinstance(betas, list):
+                raise ConfigError(f"betas: must be a list of drive amplitudes, got {betas!r}")
+            for i, beta in enumerate(betas):
+                _check_drive(beta, f"betas[{i}]", ">=")
+            if len(set(betas)) < 5:
+                raise ConfigError("betas: needs at least 5 distinct values to separate orders 0..4")
+
+    def _check_detector(self) -> None:
+        """gamma_t alone, or a physical detector whose every number is in range."""
+        det = self.detector
+        _check_keys(det, "detector", ("gamma_t", *PHYSICAL_KEYS))
+        if "gamma_t" in det:
+            others = [key for key in det if key != "gamma_t"]
+            if others:
+                raise ConfigError(
+                    f"detector.{others[0]}: a physical-detector key is not read next to gamma_t"
+                )
+            _check_number(det["gamma_t"], "detector.gamma_t")
+            return
+        if det and not set(PHYSICAL_REQUIRED).issubset(det):
+            raise ConfigError(
+                "detector: incomplete physical spec (needs mass, length, omega_ell)"
+            )
+        for key, value in det.items():
+            _check_number(value, f"detector.{key}", PHYSICAL_KEYS[key])
+        if "ell" in det:
+            _check_integer(det["ell"], "detector.ell", 1)
+            if det["ell"] % 2 == 0:
+                raise ConfigError(f"detector.ell: must be odd, got {det['ell']!r}")
 
     @property
     def scaled(self) -> bool:
@@ -205,7 +296,7 @@ class ScenarioConfig:
                 theta=float(gw.get("theta", 0.0)),
                 nbar=float(gw.get("nbar", 0.0)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"gw: {exc}") from exc
 
 
@@ -229,8 +320,6 @@ def _axis_values(axis: dict) -> list[float]:
     if steps == 1:
         return [lo]
     if axis.get("scale", "lin") == "log":
-        if lo <= 0 or hi <= 0:
-            raise ConfigError(f"sweep parameter {axis['parameter']}: log scale needs bounds > 0")
         return list(np.geomspace(lo, hi, steps))
     return list(np.linspace(lo, hi, steps))
 

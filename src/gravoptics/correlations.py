@@ -1,9 +1,9 @@
-"""Zero-delay second-order coherence and s-ordered moments of Gaussian states.
+"""Zero-delay second-order coherence of Gaussian states.
 
 The primary g2 route goes through moments of the Gaussian characteristic
 function (Wick expansion), which the Fock oracle certifies; published closed
-forms are provided as secondary evaluations with discrepancy diagnostics where
-they disagree.
+forms are provided as secondary evaluations, and ``oracle-check`` records
+where they disagree.
 """
 
 from __future__ import annotations
@@ -14,28 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import OpenChannelParams
-from .series import exp_bivariate_quadratic
-from .states import GwSignalParams, LadderMoments
-
-ORDERINGS = {"normal": 1.0, "symmetric": 0.0, "antinormal": -1.0}
-MAX_MOMENT_ORDER = 4
-
-
-@dataclass(frozen=True)
-class MomentRequest:
-    """Request for <a†^n a^m> under a chosen operator ordering."""
-
-    n_dagger: int
-    n_plain: int
-    ordering: str = "normal"
-
-    def __post_init__(self):
-        if self.n_dagger < 0 or self.n_plain < 0:
-            raise ValueError("moment orders must be >= 0")
-        if self.n_dagger + self.n_plain > MAX_MOMENT_ORDER:
-            raise ValueError(f"implemented up to total order {MAX_MOMENT_ORDER}")
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {sorted(ORDERINGS)}")
+from .states import GwSignalParams
 
 
 @dataclass(frozen=True)
@@ -52,39 +31,6 @@ class G2Report:
     variant: str
     params: dict = field(default_factory=dict)
     note: str = ""
-
-
-def _central_moments(m: LadderMoments) -> tuple[complex, float, complex]:
-    """(mu, ntilde, abar) with mu = <da^2>, ntilde = <da† da>."""
-    if m.num_modes != 1:
-        raise ValueError("single-mode moments expected")
-    mu = complex(m.sigma[0, 0])
-    ntilde = float(m.sigma[0, 1].real) - 0.5
-    return mu, ntilde, complex(m.abar[0])
-
-
-def s_ordered_moment(m: LadderMoments, req: MomentRequest) -> complex:
-    """<a†^n a^m>_s by exact differentiation of the Gaussian chi_s.
-
-    chi_s(z) = exp[z abar* - z* abar + z^2 mu*/2 + z*^2 mu/2
-    - z z* (nu - s/2)]; the derivative at the origin is read off an exact
-    bivariate series of the exponent, so no numeric differentiation occurs.
-    """
-    s = ORDERINGS[req.ordering]
-    mu, ntilde, abar = _central_moments(m)
-    nu = ntilde + 0.5
-    deg = max(req.n_dagger, req.n_plain)
-    table = exp_bivariate_quadratic(
-        0.5 * np.conj(mu),
-        -(nu - 0.5 * s),
-        0.5 * mu,
-        np.conj(abar),
-        -abar,
-        deg,
-    )
-    coeff = table[req.n_dagger, req.n_plain]
-    coeff *= math.factorial(req.n_dagger) * math.factorial(req.n_plain)
-    return complex((-1.0) ** req.n_plain * coeff)
 
 
 def _wick_g2(mu: complex, ntilde: float, abar: complex) -> tuple[float | None, float, float]:
@@ -137,9 +83,9 @@ def g2_bar_after_evolution(p: GwSignalParams, gamma_t: float) -> G2Report:
 def g2_main_text_formula(p: GwSignalParams) -> float:
     """Secondary evaluation of the published general-Gaussian g2 closed form.
 
-    Kept verbatim (including its sin(2 theta) cross term) for the discrepancy
-    diagnostic; the oracle sides with the moment route, whose cross term is
-    cos(theta - 2 arg alpha).
+    Kept verbatim (including its sin(2 theta) cross term) for the
+    ``g2_cross_term_variant_rejected`` check of ``oracle-check``; the oracle
+    sides with the moment route, whose cross term is cos(theta - 2 arg alpha).
     """
     a2 = abs(p.alpha) ** 2
     half = p.nbar + 0.5
@@ -156,30 +102,11 @@ def g2_main_text_formula(p: GwSignalParams) -> float:
     return 1.0 + 2.0 * num / den**2
 
 
-def g2_formula_discrepancy(p: GwSignalParams) -> dict:
-    """Primary (moment-route) vs main-text g2 with their difference."""
-    primary = g2_ideal(p).g2
-    secondary = g2_main_text_formula(p)
-    return {
-        "moment_route": primary,
-        "main_text": secondary,
-        "difference": None if primary is None else secondary - primary,
-    }
-
-
 def g2_ratio_estimator(p0: float, p1: float, p2: float) -> float:
     """Probability-ratio estimator 2 P0 P2 / P1^2 for g2(0)."""
     if p1 <= 0.0:
         raise ValueError("ratio estimator needs P1 > 0")
     return 2.0 * p0 * p2 / (p1 * p1)
-
-
-def mandel_q(p: GwSignalParams, gamma_t: float) -> float:
-    """Q_bar = sin^2(gamma_t) <n_gw> (g2_gw(0) - 1); zero for coherent input."""
-    report = g2_ideal(p)
-    if report.g2 is None:
-        return 0.0
-    return math.sin(gamma_t) ** 2 * report.mean_n * (report.g2 - 1.0)
 
 
 def g2_thermal_detector(p: GwSignalParams, n_th: float, gamma_t: float) -> G2Report:

@@ -201,28 +201,6 @@ def prob_n_generating(bar: LadderMoments, n: int) -> float:
     return generating_pn_table(bar, n)[n]
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Excitation probabilities up to a truncation level plus the tail."""
-
-    probs: list[tuple[int, float]]
-    truncation_n: int
-    tail_bound: float
-
-    def __post_init__(self):
-        total = sum(p for _, p in self.probs) + self.tail_bound
-        if not (1.0 - 1e-8 <= total <= 1.0 + 1e-8):
-            raise ValueError(f"probabilities plus tail sum to {total}, not 1")
-        if any(p < 0.0 for _, p in self.probs):
-            raise ValueError("negative probability in table")
-
-
-def probability_table(bar: LadderMoments, n_max: int = 8) -> ProbabilityTable:
-    probs = list(enumerate(generating_pn_table(bar, n_max)))
-    tail = max(0.0, 1.0 - sum(p for _, p in probs))
-    return ProbabilityTable(probs, n_max, tail)
-
-
 def closed_form_p012(p: GwSignalParams, gamma_t: float) -> tuple[float, float, float]:
     """(P0, P1, P2) in scalar closed form for a general wave state.
 

@@ -191,11 +191,6 @@ def _gw_density(p: GwSignalParams, dim: int | None, tail_tol: float) -> Truncate
             dim = min(MAX_DIM if dim < MAX_DIM else GROWTH_MAX_DIM, int(dim * 1.25) + 1)
 
 
-def choose_dim(p: GwSignalParams, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest cutoff with acceptable tail mass found by the adaptive search."""
-    return _gw_density(p, None, tail_tol).dim
-
-
 def _block_unitary(
     total_n: int, gamma_t: float, j_lo: int = 0, j_hi: int | None = None
 ) -> NDArray[np.complex128]:
@@ -302,20 +297,6 @@ def oracle_bar_state(
     gw = _gw_density(p, dim, tail_tol)
     rho_bar, tail = evolved_bar_density(gw, gamma_t)
     return TruncatedState(gw.dim, rho_bar / np.trace(rho_bar).real, tail)
-
-
-def oracle_pn(
-    p: GwSignalParams,
-    gamma_t: float,
-    n: int,
-    dim: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> float:
-    """tr[rho_bar(t) |n><n|] by direct matrix algebra."""
-    bar = oracle_bar_state(p, gamma_t, dim, tail_tol)
-    if n >= bar.dim:
-        raise ValueError("requested level exceeds the cutoff")
-    return float(bar.rho[n, n].real)
 
 
 def oracle_pn_table(

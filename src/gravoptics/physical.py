@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import GwSignalParams
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -90,15 +88,6 @@ def graviton_flux(
     if nu <= 0:
         raise ValueError("nu must be > 0")
     return h_strain**2 / (32.0 * math.pi * nu**2 * constants.t_planck**2)
-
-
-def nq_decomposition(p: GwSignalParams) -> tuple[float, float, float]:
-    """(n_grav, n_q, n_q / n_grav) with n_q the squeezed plus thermal part."""
-    n_q = p.n_quantum
-    n_grav = abs(p.alpha) ** 2 + n_q
-    if n_grav == 0.0:
-        raise ValueError("n_grav = 0: decomposition undefined for the vacuum")
-    return n_grav, n_q, n_q / n_grav
 
 
 @dataclass(frozen=True)

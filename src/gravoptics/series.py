@@ -1,8 +1,9 @@
 """Exact Taylor coefficients of exp(quadratic) in two formal variables.
 
-Used to differentiate Gaussian generating and characteristic functions at the
-origin without numeric differentiation: the exponent is a polynomial, so the
-series coefficients are exact up to floating-point rounding.
+Serves the generating-function route to P_n (``counting.generating_pn_table``):
+the Gaussian generating function is differentiated at the origin without
+numeric differentiation, since its exponent is a polynomial and the series
+coefficients are exact up to floating-point rounding.
 """
 
 from __future__ import annotations

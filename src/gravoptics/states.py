@@ -193,15 +193,6 @@ class GwSignalParams:
         return self.nbar * math.cosh(2 * self.r) + math.sinh(self.r) ** 2
 
 
-@dataclass(frozen=True)
-class PhysicalityReport:
-    """Symplectic spectrum of a covariance matrix and the uncertainty check."""
-
-    eigenvalues: NDArray[np.float64]
-    passed: bool
-    tol: float = PHYSICALITY_TOL
-
-
 def make_vacuum(n_modes: int) -> GaussianState:
     """N-mode vacuum: cov = I/2, zero displacement."""
     if n_modes < 1:
@@ -225,11 +216,6 @@ def make_gw_state(p: GwSignalParams) -> GaussianState:
     cov = (p.nbar + 0.5) * (f @ f.T)
     disp = math.sqrt(2.0) * np.array([p.alpha.real, p.alpha.imag])
     return GaussianState(1, cov, disp)
-
-
-def make_thermal(nbar: float) -> GaussianState:
-    """Single-mode thermal state with occupation nbar."""
-    return make_gw_state(GwSignalParams(nbar=nbar))
 
 
 def to_ladder(state: GaussianState) -> LadderMoments:
@@ -290,16 +276,3 @@ def reduce_modes(state: GaussianState, keep: list[int]) -> GaussianState:
         raise ValueError(f"mode index out of range for {state.num_modes}-mode state")
     idx = np.concatenate([[2 * k, 2 * k + 1] for k in keep]).astype(int)
     return GaussianState(len(keep), state.cov[np.ix_(idx, idx)], state.disp[idx])
-
-
-def check_physical(
-    state: GaussianState | NDArray[np.float64], tol: float = PHYSICALITY_TOL
-) -> PhysicalityReport:
-    """Report the symplectic spectrum and whether all eigenvalues are >= 1/2 - tol.
-
-    Accepts either a state or a bare covariance matrix, so candidate
-    covariances can be screened before constructing a (validated) state.
-    """
-    cov = state.cov if isinstance(state, GaussianState) else np.asarray(state, float)
-    ev = symplectic_eigenvalues(cov)
-    return PhysicalityReport(ev, bool(ev.min() >= 0.5 - tol), tol)

@@ -60,12 +60,11 @@ class TomographyTerms:
     dG0: float
     dG1: float
     dG2: float
-    dG3: float
     dG4_noise: float
 
     @property
     def total(self) -> float:
-        return self.dG0 + self.dG1 + self.dG2 + self.dG3 + self.dG4_noise
+        return self.dG0 + self.dG1 + self.dG2 + self.dG4_noise
 
 
 def quadrature_variance_normal(p: GwSignalParams, phi: float) -> float:
@@ -106,42 +105,18 @@ def classical_lo_noise(lo: LocalOscillator, gamma_t: float) -> float:
     return 4.0 * math.cos(gamma_t) ** 4 * lo.epsilon * lo.beta_mag**4
 
 
-def delta_g2_terms(
-    p: GwSignalParams,
-    lo: LocalOscillator,
-    gamma_t: float,
-    stationary: bool = True,
-) -> TomographyTerms:
+def delta_g2_terms(p: GwSignalParams, lo: LocalOscillator, gamma_t: float) -> TomographyTerms:
     """Separable contributions to the delay-subtracted correlation.
 
     dG0 = sin^4 <:(Dn)^2:>; dG1 = sin^3 cos |beta| <:Dh_{phi+pi/2} Dn:>;
-    dG2 = sin^2 cos^2 |beta|^2 <:(Dh_phi)^2:>; dG3 = 0 under stationarity;
-    dG4 is the classical drive-noise floor.
+    dG2 = sin^2 cos^2 |beta|^2 <:(Dh_phi)^2:>; the k = 3 term vanishes under
+    stationarity; dG4 is the classical drive-noise floor.
     """
-    if not stationary:
-        raise ValueError(
-            "only the stationary decomposition is implemented; see "
-            "delta_g0_nonstationary for the |beta| -> 0 diagnostic"
-        )
     s, c = math.sin(gamma_t), math.cos(gamma_t)
     dg0 = s**4 * intensity_fluctuation_normal(p)
     dg1 = s**3 * c * lo.beta_mag * quadrature_number_correlation(p, lo.phi + math.pi / 2.0)
     dg2 = s**2 * c**2 * lo.beta_mag**2 * quadrature_variance_normal(p, lo.phi)
-    return TomographyTerms(dg0, dg1, dg2, 0.0, classical_lo_noise(lo, gamma_t))
-
-
-def delta_g0_nonstationary(
-    p: GwSignalParams, gamma_t: float, mean_n_late: float | None = None
-) -> float:
-    """|beta| -> 0 diagnostic with an explicit long-delay intensity baseline.
-
-    sin^4 [<:n^2:> - <n(t)> <n(infinity)>]; the default baseline is the
-    stationary one, <n(infinity)> = <n(t)>, recovering the central form.
-    """
-    mean_n = p.mean_occupation
-    late = mean_n if mean_n_late is None else mean_n_late
-    normal_n2 = intensity_fluctuation_normal(p) + mean_n**2
-    return math.sin(gamma_t) ** 4 * (normal_n2 - mean_n * late)
+    return TomographyTerms(dg0, dg1, dg2, classical_lo_noise(lo, gamma_t))
 
 
 def snr_quadrature(p: GwSignalParams, lo: LocalOscillator, gamma_t: float) -> float:

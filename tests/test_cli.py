@@ -207,6 +207,7 @@ def test_probs_non_finite_row_is_a_numerical_failure(tmp_path, capsys, alpha_mag
     assert not out.exists()
 
 
+WEBER = json.loads((SCRIPTS / "weber_bar.json").read_text())["detector"]
 DESK_PROBS = {
     "gw": {"alpha_mag": 1.1, "alpha_phase": 0.4, "r": 0.5, "theta": 0.9, "nbar": 0.3},
     "detector": {"gamma_t": 0.8},
@@ -289,6 +290,41 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
                 "sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": 3}],
             },
             "sweep",
+        ),
+        # keys that nothing reads
+        (
+            {"subcommand": "physical", "detector": {**WEBER, "temprature": 0.01}},
+            "detector.temprature",
+        ),
+        ({"output": {"pth": "o.csv"}}, "output.pth"),
+        ({"noise": {"bogus": 1}}, "noise.bogus"),
+        ({"detector": {"gamma_t": 0.3, "mass": 3}}, "detector.mass"),
+        # values of the wrong shape or size
+        ({"subcommand": "tomo", "betas": 3}, "betas"),
+        ({"gw": [1, 2]}, "gw"),
+        ({"subcommand": "tomo", "beta_mag": 1e300}, "beta_mag"),
+        ({"output": {"path": 3}}, "output.path"),
+        ({"sweep": [3]}, "sweep[0]"),
+        ({"gw": {"alpha_mag": 1.0, "r": None}}, "gw"),
+        ({"subcommand": "tomo", "betas": [1, 1, 1, 2, 2]}, "betas"),
+        # bad numbers outside gw
+        ({"detector": {"gamma_t": "x"}}, "detector.gamma_t"),
+        ({"detector": {"gamma_t": math.nan}}, "detector.gamma_t"),
+        ({"subcommand": "physical", "detector": {**WEBER, "mass": "a"}}, "detector.mass"),
+        ({"subcommand": "physical", "detector": {**WEBER, "mass": -1800}}, "detector.mass"),
+        ({"subcommand": "physical", "detector": {**WEBER, "t": -1}}, "detector.t"),
+        ({"subcommand": "physical", "detector": {**WEBER, "ell": 2}}, "detector.ell"),
+        ({"subcommand": "physical", "detector": WEBER, "h_strain": "x"}, "h_strain"),
+        ({"subcommand": "physical", "detector": WEBER, "h_strain": -1}, "h_strain"),
+        ({"subcommand": "tomo", "beta_mag": "x"}, "beta_mag"),
+        ({"subcommand": "tomo", "beta_mag": -1}, "beta_mag"),
+        ({"subcommand": "tomo", "beta_mag": 0}, "beta_mag"),
+        ({"subcommand": "tomo", "noise": {"epsilon": -1}}, "noise.epsilon"),
+        ({"subcommand": "tomo", "noise": {"epsilon": "nan"}}, "noise.epsilon"),
+        ({"sweep": [{"parameter": "r", "min": "a", "max": 0.9, "steps": 3}]}, "sweep[0].min"),
+        (
+            {"sweep": [{"parameter": "r", "min": 0.0, "max": 0.9, "steps": 1, "scale": "log"}]},
+            "sweep[0].min",
         ),
     ],
 )

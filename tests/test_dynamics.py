@@ -27,7 +27,6 @@ from gravoptics.states import (
     apply_symplectic,
     ladder_transform,
     make_gw_state,
-    make_thermal,
     make_vacuum,
     reduce_modes,
     symplectic_form,
@@ -69,7 +68,7 @@ def test_evolve_closed_identity_at_zero():
 
 def test_evolve_closed_thermal_example():
     nbar, gt = 1.3, 0.6
-    out = bar_marginal(make_thermal(nbar), make_vacuum(1), gt)
+    out = bar_marginal(make_gw_state(GwSignalParams(nbar=nbar)), make_vacuum(1), gt)
     expect = (math.cos(gt) ** 2 * 0.5 + math.sin(gt) ** 2 * (0.5 + nbar)) * np.eye(2)
     np.testing.assert_allclose(out.cov, expect, atol=1e-14)
 
@@ -236,14 +235,15 @@ def test_evolve_open_limits():
 
 def test_evolve_open_rejects_non_vacuum_bar():
     gw = make_gw_state(GwSignalParams(alpha=0.8))
+    thermal_bar = make_gw_state(GwSignalParams(nbar=0.5))
     with pytest.raises(ValueError):
-        evolve_open(gw, make_thermal(0.5), 0.3, OpenChannelParams(1.0, 0.0), 1.0)
+        evolve_open(gw, thermal_bar, 0.3, OpenChannelParams(1.0, 0.0), 1.0)
 
 
 def test_evolve_open_direct_formula_point():
     # kappa t = 1, Nbar = 0.2, thermal nbar = 3, sin^2 = 0.1
     gt = math.asin(math.sqrt(0.1))
-    gw = make_thermal(3.0)
+    gw = make_gw_state(GwSignalParams(nbar=3.0))
     ch = OpenChannelParams(kappa=1.0, nbar=0.2)
     out = evolve_open(gw, make_vacuum(1), gt, ch, 1.0)
     decay = math.exp(-1.0)

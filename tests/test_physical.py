@@ -11,7 +11,6 @@ from gravoptics.physical import (
     coupling_gamma,
     graviton_flux,
     noise_thresholds,
-    nq_decomposition,
 )
 from gravoptics.states import GwSignalParams
 
@@ -55,18 +54,16 @@ def test_flux_scalings(h, nu):
 
 
 def test_nq_decomposition():
-    n_grav, n_q, frac = nq_decomposition(GwSignalParams(alpha=1.5))
-    assert n_q == 0.0 and frac == 0.0 and abs(n_grav - 2.25) < 1e-14
-    _, n_q, frac = nq_decomposition(GwSignalParams(r=0.5, nbar=0.3))
-    assert frac == 1.0 and n_q > 0.0
-    with pytest.raises(ValueError):
-        nq_decomposition(GwSignalParams())
+    coherent = GwSignalParams(alpha=1.5)
+    assert coherent.n_quantum == 0.0 and abs(coherent.mean_occupation - 2.25) < 1e-14
+    undisplaced = GwSignalParams(r=0.5, nbar=0.3)
+    assert undisplaced.n_quantum > 0.0
+    assert abs(undisplaced.n_quantum / undisplaced.mean_occupation - 1.0) < 1e-14
 
 
 @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
 def test_nq_nonnegative_and_squeezed_consistency(r, nbar):
-    p = GwSignalParams(alpha=0.3, r=r, nbar=nbar)
-    _, n_q, _ = nq_decomposition(p)
+    n_q = GwSignalParams(alpha=0.3, r=r, nbar=nbar).n_quantum
     assert n_q >= 0.0
     if nbar == 0.0:
         assert abs(n_q - math.sinh(r) ** 2) < 1e-9 * max(1.0, n_q)

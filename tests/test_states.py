@@ -12,11 +12,9 @@ from gravoptics.states import (
     GwSignalParams,
     SymplecticMap,
     apply_symplectic,
-    check_physical,
     from_ladder,
     ladder_transform,
     make_gw_state,
-    make_thermal,
     make_vacuum,
     reduce_modes,
     symplectic_eigenvalues,
@@ -138,7 +136,7 @@ def test_half_pi_beamsplitter_swaps_marginals():
 
 def test_reduce_modes():
     a = make_gw_state(GwSignalParams(alpha=1.0, nbar=0.5))
-    b = make_thermal(2.0)
+    b = make_gw_state(GwSignalParams(nbar=2.0))
     joint = tensor(a, b)
     np.testing.assert_allclose(reduce_modes(joint, [0]).cov, a.cov)
     np.testing.assert_allclose(reduce_modes(joint, [1]).cov, b.cov)
@@ -148,16 +146,6 @@ def test_reduce_modes():
         reduce_modes(joint, [])
     with pytest.raises(ValueError):
         reduce_modes(joint, [2])
-
-
-def test_check_physical_report():
-    assert check_physical(make_vacuum(1)).passed
-    np.testing.assert_allclose(check_physical(make_vacuum(1)).eigenvalues, [0.5])
-    bad = check_physical(0.4 * np.eye(2))
-    assert not bad.passed
-    rep = check_physical(make_thermal(2.0))
-    assert rep.passed
-    np.testing.assert_allclose(rep.eigenvalues, [2.5])
 
 
 def test_unphysical_state_rejected():

@@ -11,9 +11,7 @@ from gravoptics.states import GwSignalParams
 from gravoptics.tomography import (
     LocalOscillator,
     classical_lo_noise,
-    delta_g0_nonstationary,
     delta_g2_terms,
-    intensity_fluctuation_normal,
     quadrature_number_correlation,
     quadrature_variance_normal,
     reconstruct_gaussian,
@@ -77,16 +75,6 @@ def test_beta_zero_leaves_only_dg0():
     rep = g2_ideal(p)
     expect = math.sin(gt) ** 4 * rep.mean_n**2 * (rep.g2 - 1.0)
     assert abs(terms.dG0 - expect) < 1e-12
-
-
-def test_nonstationary_diagnostic_reduces_to_central_form():
-    p = GwSignalParams(alpha=0.9, r=0.4, nbar=0.1)
-    gt = 0.3
-    assert abs(
-        delta_g0_nonstationary(p, gt) - math.sin(gt) ** 4 * intensity_fluctuation_normal(p)
-    ) < 1e-14
-    shifted = delta_g0_nonstationary(p, gt, mean_n_late=0.0)
-    assert shifted > delta_g0_nonstationary(p, gt)
 
 
 def test_large_squeezing_limits():

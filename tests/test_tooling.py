@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -18,3 +19,42 @@ def test_tracer_targets_resolve(monkeypatch):
     for module, attribute in tracer.TARGETS:
         owner = importlib.import_module(f"gravoptics.{module}")
         assert callable(getattr(owner, attribute, None)), f"{module}.{attribute}"
+
+
+ROOT = TRACER.parent.parent
+PACKAGE = ROOT / "src" / "gravoptics"
+# paper formulas and references that only the tests compare with production code
+REFERENCES = (
+    "delta_p1_lowest_order",
+    "delta_p1_coherent_dominated",
+    "bar_marginal",
+    "beamsplitter_map",
+    "beamsplitter_unitary",
+    "from_ladder",
+    "oracle_normal_moment",
+)
+
+
+def test_public_names_serve_a_caller():
+    # every public top-level def or class is called from the package, the
+    # scripts or the benchmark (read, never imported), or is a named reference
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    readers = sources + [p for p in sorted((ROOT / "scripts").glob("*")) if p.is_file()]
+    readers += sorted((ROOT / "perfbench").glob("*.py"))
+    text = {path: path.read_text().splitlines() for path in readers}
+    unused = []
+    for path in sources:
+        for i, line in enumerate(text[path]):
+            match = re.match(r"(?:def|class) ([A-Za-z]\w*)", line)
+            if not match or match.group(1) in REFERENCES:
+                continue
+            word = re.compile(rf"\b{match.group(1)}\b")
+            callers = (
+                other
+                for reader, lines in text.items()
+                for j, other in enumerate(lines)
+                if (reader, j) != (path, i)
+            )
+            if not any(word.search(other) for other in callers):
+                unused.append(f"{path.stem}.{match.group(1)}")
+    assert not unused, unused
