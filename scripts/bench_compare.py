@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 import numpy
-import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,7 +90,6 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
         },
         "runs": [],
         "summary": {},

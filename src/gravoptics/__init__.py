@@ -38,14 +38,7 @@ from .dynamics import (
     evolve_open,
     squeezing_transfer_variance,
 )
-from .physical import (
-    CONSTANTS,
-    DetectorConfig,
-    PhysicalConstants,
-    coupling_gamma,
-    graviton_flux,
-    noise_thresholds,
-)
+from .physical import DetectorConfig, coupling_gamma, graviton_flux, noise_thresholds
 from .states import (
     GaussianState,
     GwSignalParams,

@@ -115,8 +115,9 @@ def _check_keys(section: dict, name: str, known) -> None:
             raise ConfigError(f"{name}.{key}: unknown key (choose from {', '.join(known)})")
 
 
-def _detector_config(det: dict) -> DetectorConfig:
-    return DetectorConfig(
+def _physical_detector(det: dict) -> tuple[DetectorConfig, float, float, float]:
+    """(config, nu, t, gamma_g) of a physical detector with a finite gamma_g > 0 and gamma_g t."""
+    cfg = DetectorConfig(
         mass=float(det["mass"]),
         length=float(det["length"]),
         omega_ell=float(det["omega_ell"]),
@@ -125,6 +126,18 @@ def _detector_config(det: dict) -> DetectorConfig:
         quality_factor=float(det.get("quality_factor", 1.0e6)),
         temperature=float(det.get("temperature", 0.0)),
     )
+    nu = float(det.get("nu", cfg.omega_ell))
+    t = float(det.get("t", 0.0))
+    try:
+        gamma = coupling_gamma(cfg, nu)
+    except (OverflowError, ZeroDivisionError):  # a power or quotient beyond float range
+        gamma = math.inf
+    if not (0.0 < gamma < math.inf and math.isfinite(gamma * t)):
+        raise ConfigError(
+            f"detector: the coupling gamma_g = {gamma!r} and gamma_g * t = {gamma * t!r} "
+            "must be finite, with gamma_g > 0"
+        )
+    return cfg, nu, t, gamma
 
 
 @dataclass
@@ -137,6 +150,8 @@ class ScenarioConfig:
     sweep: list = field(default_factory=list)
     output: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    # (config, nu, t, gamma_g) of a physical detector, computed once by validate()
+    physical: tuple[DetectorConfig, float, float, float] | None = field(default=None, init=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -232,7 +247,7 @@ class ScenarioConfig:
             return
         if det and not set(PHYSICAL_REQUIRED).issubset(det):
             raise ConfigError(
-                "detector: incomplete physical spec (needs mass, length, omega_ell)"
+                f"detector: incomplete physical spec (needs {', '.join(PHYSICAL_REQUIRED)})"
             )
         for key, value in det.items():
             _check_number(value, f"detector.{key}", PHYSICAL_KEYS[key])
@@ -240,6 +255,8 @@ class ScenarioConfig:
             _check_integer(det["ell"], "detector.ell", 1)
             if det["ell"] % 2 == 0:
                 raise ConfigError(f"detector.ell: must be odd, got {det['ell']!r}")
+        if det:
+            self.physical = _physical_detector(det)
 
     @property
     def scaled(self) -> bool:
@@ -265,15 +282,13 @@ class ScenarioConfig:
                 )
 
     def gamma_t(self, overrides: dict) -> float:
-        det = {**self.detector, **{k: v for k, v in overrides.items() if k == "gamma_t"}}
-        if "gamma_t" in det:
-            return float(det["gamma_t"])
-        if not det:
+        gamma_t = overrides.get("gamma_t", self.detector.get("gamma_t"))
+        if gamma_t is not None:
+            return float(gamma_t)
+        if self.physical is None:
             raise ConfigError("detector: gamma_t or a physical detector is required")
-        cfg = _detector_config(det)
-        nu = float(det.get("nu", cfg.omega_ell))
-        t = float(det.get("t", 0.0))
-        return coupling_gamma(cfg, nu) * t
+        _, _, t, gamma = self.physical
+        return gamma * t
 
     def gw_params(self, overrides: dict, gamma_t: float) -> GwSignalParams:
         gw = {**self.gw, **{k: v for k, v in overrides.items() if k not in ("gamma_t",)}}
@@ -389,18 +404,30 @@ def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
 
 
 def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
-    det = cfg.detector
-    needed = {"mass", "length", "omega_ell"}
-    if not needed.issubset(det):
-        raise ConfigError("physical: detector needs mass, length, omega_ell")
-    dcfg = _detector_config(det)
-    nu = float(det.get("nu", dcfg.omega_ell))
+    if cfg.physical is None:
+        raise ConfigError(f"physical: detector needs {', '.join(PHYSICAL_REQUIRED)}")
+    dcfg, nu, t, gamma = cfg.physical
     strain = float(cfg.extra.get("h_strain", 1e-22))
-    t = float(det.get("t", 0.0))
-    gamma = coupling_gamma(dcfg, nu)
-    n_grav = graviton_flux(strain, nu)
+    try:
+        n_grav = graviton_flux(strain, nu)
+    except (OverflowError, ZeroDivisionError):  # h_strain^2 or nu^2 beyond float range
+        n_grav = math.inf
+    if not 0.0 < n_grav < math.inf:
+        raise ConfigError(
+            f"h_strain: n_grav = h_strain^2 / (32 pi nu^2 t_planck^2) = {n_grav!r} "
+            "must be finite and > 0"
+        )
     gamma_t = gamma * t
-    report = noise_thresholds(dcfg, nu, gamma_t, n_grav) if t > 0 else None
+    try:
+        report = noise_thresholds(dcfg, nu, gamma_t, n_grav) if t > 0 else None
+        thresholds = [report.gamma_th, report.n_th] if report else []
+    except ZeroDivisionError:  # hbar Q or hbar omega_ell below float range
+        thresholds = [math.inf]
+    if not all(map(math.isfinite, [n_grav * gamma_t * gamma_t, *thresholds])):
+        raise ConfigError(
+            "detector: n_grav (gamma_g t)^2 and the noise thresholds k_B T / (hbar Q), "
+            "k_B T / (hbar omega_ell) must be finite"
+        )
     header = [
         "gamma_g",
         "n_grav",

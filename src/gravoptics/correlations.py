@@ -28,7 +28,6 @@ class G2Report:
     g2: float | None
     mean_n: float
     mean_n2: float
-    variant: str
     params: dict = field(default_factory=dict)
     note: str = ""
 
@@ -62,7 +61,7 @@ def g2_ideal(p: GwSignalParams) -> G2Report:
     mu, ntilde, _ = p.central_moments()
     g2, mean_n, mean_n2 = _wick_g2(mu, ntilde, p.alpha)
     note = "" if g2 is not None else "vacuum input: g2 is 0/0 and convention-dependent"
-    return G2Report(g2, mean_n, mean_n2, "ideal", {"params": p}, note)
+    return G2Report(g2, mean_n, mean_n2, {"params": p}, note)
 
 
 def g2_bar_after_evolution(p: GwSignalParams, gamma_t: float) -> G2Report:
@@ -77,7 +76,7 @@ def g2_bar_after_evolution(p: GwSignalParams, gamma_t: float) -> G2Report:
     s = math.sin(gamma_t)
     g2, mean_n, mean_n2 = _wick_g2(s * s * mu, s * s * ntilde, s * p.alpha)
     note = "" if g2 is not None else "no detector excitation: g2 undefined"
-    return G2Report(g2, mean_n, mean_n2, "ideal", {"params": p, "gamma_t": gamma_t}, note)
+    return G2Report(g2, mean_n, mean_n2, {"params": p, "gamma_t": gamma_t}, note)
 
 
 def g2_main_text_formula(p: GwSignalParams) -> float:
@@ -128,14 +127,7 @@ def g2_thermal_detector(p: GwSignalParams, n_th: float, gamma_t: float) -> G2Rep
     note = ""
     if g2 is None:
         note = "vacuum detector at t = 0: g2 has a first-kind discontinuity here"
-    return G2Report(
-        g2,
-        mean_n,
-        mean_n2,
-        "thermal_detector",
-        {"params": p, "n_th": n_th, "gamma_t": gamma_t},
-        note,
-    )
+    return G2Report(g2, mean_n, mean_n2, {"params": p, "n_th": n_th, "gamma_t": gamma_t}, note)
 
 
 def g2_thermal_detector_closed_form(p: GwSignalParams, n_th: float, gamma_t: float) -> float:
@@ -201,7 +193,7 @@ def g2_open(
         "heating_condition_met": bool(gamma_th_t < signal),
     }
     note = "" if g2 is not None else "no detector excitation: g2 undefined"
-    return G2Report(g2, mean_n, mean_n2, "open", params, note)
+    return G2Report(g2, mean_n, mean_n2, params, note)
 
 
 def g2_open_closed_form(

@@ -45,20 +45,18 @@ def poisson_pn(mean: float, n: int) -> float:
     return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
 
 
-def evolved_bar_moments(
-    p: GwSignalParams, gamma_t: float, bar_nbar: float = 0.0
-) -> LadderMoments:
+def evolved_bar_moments(p: GwSignalParams, gamma_t: float) -> LadderMoments:
     """Ladder moments of the detector marginal after exchange evolution.
 
     Assembled directly from scalar parameters:
-    nu_bar = cos^2 (n_th + 1/2) + sin^2 nu_gw, mu_bar = sin^2 mu_gw,
+    nu_bar = cos^2 / 2 + sin^2 nu_gw, mu_bar = sin^2 mu_gw,
     abar = sin * (alpha, alpha*).  Identical to the state-pipeline route but
     free of large-covariance cancellation, so it is valid at any amplitude.
     """
     c2 = math.cos(gamma_t) ** 2
     s2 = math.sin(gamma_t) ** 2
     mu_g, _, nu_g = p.central_moments()
-    nu_b = c2 * (bar_nbar + 0.5) + s2 * nu_g
+    nu_b = c2 * 0.5 + s2 * nu_g
     mu_b = s2 * mu_g
     sigma = np.array([[mu_b, nu_b], [nu_b, np.conj(mu_b)]])
     abar = math.sin(gamma_t) * np.array([p.alpha, np.conj(p.alpha)])

@@ -13,7 +13,7 @@ is built from the Gaussian kernels it is checked against.  The detector
 marginal is the sum over the exact binomial Kraus amplitudes <k, m| U |k+m, 0>,
 done as one real Toeplitz matmul on a rescaled rho, never as the joint state.
 Each density matrix is checked for unit trace, Hermiticity and positivity (a
-Cholesky factorization shifted by the floor), and the module imports no scipy.
+Cholesky factorization shifted by the floor); numpy does all of it.
 """
 
 from __future__ import annotations

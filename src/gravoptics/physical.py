@@ -10,25 +10,12 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA constants; t_planck = sqrt(hbar G / c^5) is derived and checked."""
-
-    G: float = 6.67430e-11
-    c: float = 299792458.0
-    hbar: float = 1.054571817e-34
-    k_B: float = 1.380649e-23
-    t_planck: float | None = None
-
-    def __post_init__(self):
-        derived = math.sqrt(self.hbar * self.G / self.c**5)
-        if self.t_planck is None:
-            object.__setattr__(self, "t_planck", derived)
-        elif abs(self.t_planck - derived) > 1e-12 * derived:
-            raise ValueError("t_planck inconsistent with (G, c, hbar)")
-
-
-CONSTANTS = PhysicalConstants()
+# CODATA values; t_planck = sqrt(hbar G / c^5) is derived from them
+G = 6.67430e-11
+C = 299792458.0
+HBAR = 1.054571817e-34
+K_B = 1.380649e-23
+T_PLANCK = math.sqrt(HBAR * G / C**5)
 
 
 @dataclass(frozen=True)
@@ -53,9 +40,7 @@ class DetectorConfig:
             raise ValueError("temperature must be >= 0")
 
 
-def coupling_gamma(
-    cfg: DetectorConfig, nu: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def coupling_gamma(cfg: DetectorConfig, nu: float) -> float:
     """Graviton-phonon coupling sqrt(8 pi G M nu^3 L^3 / (omega_ell c^2 V pi^4 ell^4)).
 
     The sign factor (-1)^(ell-1) is +1 for the odd mode indices accepted by
@@ -66,18 +51,16 @@ def coupling_gamma(
     radicand = (
         8.0
         * math.pi
-        * constants.G
+        * G
         * cfg.mass
         * nu**3
         * cfg.length**3
-        / (cfg.omega_ell * constants.c**2 * cfg.gw_volume * math.pi**4 * cfg.ell**4)
+        / (cfg.omega_ell * C**2 * cfg.gw_volume * math.pi**4 * cfg.ell**4)
     )
     return math.sqrt(radicand)
 
 
-def graviton_flux(
-    h_strain: float, nu: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def graviton_flux(h_strain: float, nu: float) -> float:
     """Mean graviton number n_grav = h^2 / (32 pi nu^2 t_planck^2).
 
     nu is the angular frequency: the h = 1e-22, nu = 2 pi x 100 Hz landmark
@@ -87,7 +70,7 @@ def graviton_flux(
         raise ValueError("strain must be > 0")
     if nu <= 0:
         raise ValueError("nu must be > 0")
-    return h_strain**2 / (32.0 * math.pi * nu**2 * constants.t_planck**2)
+    return h_strain**2 / (32.0 * math.pi * nu**2 * T_PLANCK**2)
 
 
 @dataclass(frozen=True)
@@ -106,11 +89,7 @@ class NoiseThresholdReport:
 
 
 def noise_thresholds(
-    cfg: DetectorConfig,
-    nu: float,
-    gamma_t: float,
-    n_grav: float,
-    constants: PhysicalConstants = CONSTANTS,
+    cfg: DetectorConfig, nu: float, gamma_t: float, n_grav: float
 ) -> NoiseThresholdReport:
     """Evaluate Gamma_th t < n_grav (gamma_t)^2 and n_th < n_grav (gamma_t)^2.
 
@@ -118,10 +97,10 @@ def noise_thresholds(
     high-temperature bath occupation nbar_env ~ k_B T / (hbar omega_ell),
     collapsing to Gamma_th = k_B T / (hbar Q).
     """
-    gamma = coupling_gamma(cfg, nu, constants)
+    gamma = coupling_gamma(cfg, nu)
     t = gamma_t / gamma
-    gamma_th = constants.k_B * cfg.temperature / (constants.hbar * cfg.quality_factor)
-    n_th = constants.k_B * cfg.temperature / (constants.hbar * cfg.omega_ell)
+    gamma_th = K_B * cfg.temperature / (HBAR * cfg.quality_factor)
+    n_th = K_B * cfg.temperature / (HBAR * cfg.omega_ell)
     signal = n_grav * gamma_t * gamma_t
     heating_lhs = gamma_th * t
     heating_margin = math.inf if heating_lhs == 0.0 else signal / heating_lhs

@@ -35,17 +35,16 @@ class LocalOscillator:
     """Coherent detector drive serving as the phase reference.
 
     epsilon is the relative amplitude-fluctuation variance (delta beta)^2 /
-    |beta|^2; kappa_fluct the fluctuation correlation decay rate.
+    |beta|^2.
     """
 
     beta_mag: float
     phi: float = 0.0
     epsilon: float = 0.0
-    kappa_fluct: float = 0.0
 
     def __post_init__(self):
-        if self.beta_mag < 0 or self.epsilon < 0 or self.kappa_fluct < 0:
-            raise ValueError("beta_mag, epsilon, kappa_fluct must be >= 0")
+        if self.beta_mag < 0 or self.epsilon < 0:
+            raise ValueError("beta_mag and epsilon must be >= 0")
         if self.epsilon >= EPSILON_WARN:
             warnings.warn(
                 f"epsilon = {self.epsilon} is outside the small-fluctuation regime",
@@ -158,10 +157,8 @@ class ReconstructionResult:
     theta: float
     nbar: float
     residual: float
-    phase_grid_size: int
     theta_identifiable: bool = True
     alpha_identifiable: bool = True
-    notes: str = ""
 
 
 def reconstruct_gaussian(
@@ -234,11 +231,6 @@ def reconstruct_gaussian(
         )
         / scale
     )
-    notes = []
-    if not theta_identifiable:
-        notes.append("squeezing phase unidentifiable (no 2 phi structure)")
-    if not alpha_identifiable:
-        notes.append("displacement unobservable (ntilde^2 = |mu|^2 degeneracy)")
     return ReconstructionResult(
         alpha_mag=abs(alpha),
         alpha_phase=float(np.angle(alpha)) if abs(alpha) > 0 else 0.0,
@@ -246,10 +238,8 @@ def reconstruct_gaussian(
         theta=theta,
         nbar=nbar,
         residual=residual,
-        phase_grid_size=len(phase_sweep),
         theta_identifiable=bool(theta_identifiable),
         alpha_identifiable=bool(alpha_identifiable),
-        notes="; ".join(notes),
     )
 
 
@@ -265,15 +255,19 @@ def simulate_phase_sweep(
 
     Noise model: each sample sees an independently perturbed drive amplitude
     beta (1 + xi) with xi ~ N(0, epsilon), matching the stated fluctuation
-    statistics (delta beta)^2 = epsilon |beta|^2.
+    statistics (delta beta)^2 = epsilon |beta|^2.  A draw with 1 + xi < 0 is
+    the drive |beta (1 + xi)| at phase phi + pi, which flips the sign of dG1
+    and leaves dG2 unchanged.
     """
     if epsilon > 0.0 and rng is None:
         raise ValueError("noise injection needs an rng for reproducibility")
     rows = []
     for phi in phis:
-        beta = beta_mag
+        beta, phase = beta_mag, float(phi)
         if epsilon > 0.0:
             beta = beta_mag * (1.0 + rng.normal(0.0, math.sqrt(epsilon)))
-        terms = delta_g2_terms(p, LocalOscillator(beta, float(phi)), gamma_t)
+            if beta < 0.0:
+                beta, phase = -beta, phase + math.pi
+        terms = delta_g2_terms(p, LocalOscillator(beta, phase), gamma_t)
         rows.append((float(phi), terms.dG1, terms.dG2))
     return rows

@@ -152,6 +152,20 @@ def test_tomo_roundtrip_noiseless(tmp_path):
         assert err < 1e-6 * max(1.0, abs(true))
 
 
+def test_tomo_survives_negative_drive_draw(tmp_path):
+    # at epsilon 0.5 the seed-3 draws include 1 + xi < 0, a drive at phase phi + pi
+    cfg = json.loads((SCRIPTS / "tomo_roundtrip.json").read_text())
+    cfg["noise"]["epsilon"] = 0.5
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # epsilon >= 0.1 warns
+        assert main(["tomo", "--config", str(path), "--seed", "3", "--out", str(out)]) == 0
+    recovered = json.loads(out.read_text())["recovered"]
+    assert all(math.isfinite(recovered[key]) for key in ("alpha_mag", "r", "theta", "nbar"))
+
+
 def test_oracle_check_exit_codes():
     proc = run_cli(["oracle-check"])
     assert proc.returncode == 0
@@ -326,6 +340,22 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
             {"sweep": [{"parameter": "r", "min": 0.0, "max": 0.9, "steps": 1, "scale": "log"}]},
             "sweep[0].min",
         ),
+        # physical detectors whose every number is in range but whose coupling,
+        # flux or thresholds leave float range
+        ({"subcommand": "physical", "detector": {**WEBER, "nu": 1e200}}, "detector"),
+        ({"subcommand": "tomo", "detector": {**WEBER, "nu": 1e200}}, "detector"),
+        ({"subcommand": "physical", "detector": WEBER, "h_strain": 1e200}, "h_strain"),
+        ({"subcommand": "physical", "detector": {**WEBER, "nu": 1e-200}}, "detector"),
+        (
+            {"subcommand": "physical", "detector": {**WEBER, "mass": 1e-300, "length": 1e-100}},
+            "detector",
+        ),
+        (
+            {"subcommand": "physical", "detector": {**WEBER, "mass": 1e300, "length": 1e100}},
+            "detector",
+        ),
+        ({"subcommand": "physical", "detector": {**WEBER, "t": 1e300}}, "detector"),
+        ({"subcommand": "physical", "detector": {**WEBER, "quality_factor": 1e-300}}, "detector"),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):
@@ -347,8 +377,8 @@ def test_unknown_top_level_key_exit_code(tmp_path, capsys):
     assert "detectr" in capsys.readouterr().err
 
 
-def test_figure_commands_do_not_import_scipy(tmp_path):
-    """scipy serves only the Lyapunov path: the figure commands and the Fock oracle load none."""
+def test_subcommands_do_not_import_scipy(tmp_path):
+    """All five subcommands and the Fock oracle load no scipy module: numpy is the one dependency."""
     code = f"""
 import sys
 import gravoptics.cli as cli
@@ -360,6 +390,7 @@ for argv in (
     ["g2", "--config", scripts + "/fig3_g2.json"],
     ["tomo", "--config", scripts + "/tomo_roundtrip.json", "--seed", "11"],
     ["physical", "--config", scripts + "/weber_bar.json"],
+    ["oracle-check"],
 ):
     assert cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
 p = GwSignalParams(alpha=0.8 + 0.3j, r=0.4, theta=0.9, nbar=0.3)

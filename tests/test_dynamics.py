@@ -253,6 +253,33 @@ def test_evolve_open_direct_formula_point():
     assert np.max(np.abs(out.cov - ode.cov)) < 1e-8
 
 
+def test_lyapunov_oracle_matches_evolve_open_over_the_box():
+    """RK4 on the covariance ODE against the closed form, well past gamma_t = pi/2
+    and kappa t = 1.2: |alpha| <= 2 sqrt 2, r <= 1, nbar <= 2, gamma_t <= 3.2,
+    kappa t <= 50, with the slowest corner (most steps) drawn first."""
+    rng = np.random.default_rng(20261018)
+    corner = (GwSignalParams(alpha=2.0 * math.sqrt(2.0), r=1.0, nbar=2.0), 3.2, 50.0)
+    draws = [corner]
+    for _ in range(4):
+        p = GwSignalParams(
+            alpha=2.0 * math.sqrt(2.0) * rng.uniform() * np.exp(2j * math.pi * rng.uniform()),
+            r=rng.uniform(0.0, 1.0),
+            theta=rng.uniform(0.0, 2.0 * math.pi),
+            nbar=rng.uniform(0.0, 2.0),
+        )
+        gt = rng.uniform(0.0, 3.2)
+        # kappa t log-uniform: past a few units the initial state is forgotten
+        draws.append((p, gt, math.exp(rng.uniform(math.log(0.01), math.log(50.0)))))
+    for p, gt, kt in draws:
+        t = rng.uniform(0.1, 5.0)
+        ch = OpenChannelParams(kappa=kt / t, nbar=rng.uniform(0.0, 2.0))
+        gw = make_gw_state(p)
+        closed = evolve_open(gw, make_vacuum(1), gt, ch, t)
+        ode = lyapunov_bar_marginal(gw, gt, ch, t)
+        err = max(np.max(np.abs(closed.cov - ode.cov)), np.max(np.abs(closed.disp - ode.disp)))
+        assert err <= 1e-9, (p, gt, kt, err)
+
+
 def test_squeezing_transfer_examples():
     full = squeezing_transfer_variance(0.8, math.pi / 2.0)
     assert abs(full.min_var - math.exp(-1.6) / 2.0) < 1e-15

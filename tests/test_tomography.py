@@ -189,6 +189,24 @@ def test_reconstruction_with_noise_degrades_smoothly():
     assert 0.0 < rec.residual < 0.5
 
 
+def test_negative_drive_draw_is_a_phase_flip():
+    """A draw with 1 + xi < 0 is the drive |beta (1 + xi)| at phi + pi: dG1 flips, dG2 stays."""
+    p = GwSignalParams(alpha=np.exp(0.4j), r=0.5, theta=0.7, nbar=0.2)
+    gt, beta, eps = 0.3, 2.0, 0.5
+    phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    rows = simulate_phase_sweep(p, beta, gt, phis, epsilon=eps, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    drives = [beta * (1.0 + rng.normal(0.0, math.sqrt(eps))) for _ in phis]
+    assert any(d < 0.0 for d in drives) and any(d >= 0.0 for d in drives)
+    for (phi, dg1, dg2), d in zip(rows, drives):
+        terms = delta_g2_terms(p, LocalOscillator(abs(d), phi), gt)
+        if d >= 0.0:
+            assert (dg1, dg2) == (terms.dG1, terms.dG2)  # the unchanged path, bit for bit
+        else:
+            assert abs(dg1 + terms.dG1) <= 1e-12 * abs(terms.dG1)
+            assert abs(dg2 - terms.dG2) <= 1e-12 * abs(terms.dG2)
+
+
 def test_reconstruction_needs_enough_phases():
     with pytest.raises(ValueError):
         reconstruct_gaussian([(0.0, 0.0, 0.0)] * 7, 0.3, 1.0, 0.0)
