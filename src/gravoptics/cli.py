@@ -419,8 +419,8 @@ def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
         )
     gamma_t = gamma * t
     try:
-        report = noise_thresholds(dcfg, nu, gamma_t, n_grav) if t > 0 else None
-        thresholds = [report.gamma_th, report.n_th] if report else []
+        report = noise_thresholds(dcfg, nu, gamma_t, n_grav)
+        thresholds = [report.gamma_th, report.n_th]
     except ZeroDivisionError:  # hbar Q or hbar omega_ell below float range
         thresholds = [math.inf]
     if not all(map(math.isfinite, [n_grav * gamma_t * gamma_t, *thresholds])):
@@ -443,10 +443,10 @@ def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
         n_grav,
         gamma_t,
         n_grav * gamma_t * gamma_t,
-        report.gamma_th if report else math.nan,
-        report.n_th if report else math.nan,
-        int(report.heating_ok) if report else -1,
-        int(report.occupation_ok) if report else -1,
+        *thresholds,
+        # gamma_th and n_th do not depend on t; the two comparisons need t > 0
+        int(report.heating_ok) if t > 0 else -1,
+        int(report.occupation_ok) if t > 0 else -1,
     ]
     return header, [row]
 

@@ -8,10 +8,12 @@ Every generator exponentiated here is a zero-diagonal Hermitian tridiagonal
 chain: the displacement on all levels, the squeeze once on the even and once
 on the odd levels, the exchange on each total-number block.  ``_chain_expm``
 turns each chain real by a diagonal phase similarity and exponentiates the
-same truncated matrix through one real ``eigh``; no state the oracle checks
-is built from the Gaussian kernels it is checked against.  The detector
-marginal is the sum over the exact binomial Kraus amplitudes <k, m| U |k+m, 0>,
-done as one real Toeplitz matmul on a rescaled rho, never as the joint state.
+same truncated matrix through one real SVD of its half-size block linking
+even to odd levels; no state the oracle checks is built from the Gaussian
+kernels it is checked against.  The wave density is M M† with
+M = D S sqrt(rho_th).  The detector marginal is the sum over the exact
+binomial Kraus amplitudes <k, m| U |k+m, 0>, done as one real Toeplitz
+matmul on a rescaled rho, never as the joint state.
 Each density matrix is checked for unit trace, Hermiticity and positivity (a
 Cholesky factorization shifted by the floor); numpy does all of it.
 """
@@ -75,18 +77,36 @@ def _chain_expm(off: NDArray) -> NDArray[np.complex128]:
     """exp(-i H) for the Hermitian tridiagonal H with zero diagonal and H[j+1, j] = off[j].
 
     The diagonal phase similarity H = P T P† with P = diag(prod_{i<j} off_i / |off_i|)
-    makes T real symmetric with T[j+1, j] = |off_j|, so one real eigh of the same
-    truncated matrix gives exp(-i T) = Q cos(w) Q^T - i Q sin(w) Q^T from two
-    real matmuls.  Phases multiply exactly for real or imaginary couplings.
+    makes T real symmetric with T[j+1, j] = |off_j|.  T only links even levels to
+    odd ones: on (even, odd) it is [[0, B], [B^T, 0]] with the lower-bidiagonal
+    B[i, i] = |off_(2i)|, B[i+1, i] = |off_(2i+1)| of size ceil(n/2) x floor(n/2).
+    One SVD B = U s V^T of that half-size block gives cos T = U cos(s) U^T on the
+    even levels (cos = 1 on the null vector of an odd-length chain) and
+    V cos(s) V^T on the odd ones, and sin T = U sin(s) V^T between them
+    (Golub & Kahan 1965).  Phases multiply exactly for real or imaginary couplings.
     """
     off = np.asarray(off, dtype=complex)
     mag = np.abs(off)
-    unit = np.ones(len(off) + 1, dtype=complex)
+    size = len(off) + 1
+    unit = np.ones(size, dtype=complex)
     np.divide(off, mag, out=unit[1:], where=mag > 0.0)
     phase = np.cumprod(unit)
-    w, q = np.linalg.eigh(np.diag(mag, 1) + np.diag(mag, -1))
-    op = (q * np.cos(w)) @ q.T - 1j * ((q * np.sin(w)) @ q.T)
-    return phase[:, None] * op * phase.conj()[None, :]
+    n_even, n_odd = (size + 1) // 2, size // 2
+    coupling = np.zeros((n_even, n_odd))
+    coupling[np.arange(n_odd), np.arange(n_odd)] = mag[0::2]
+    coupling[np.arange(1, n_even), np.arange(n_even - 1)] = mag[1::2]
+    u, s, vt = np.linalg.svd(coupling)
+    cos_even = np.ones(n_even)
+    cos_even[:n_odd] = np.cos(s)
+    op = np.empty((size, size), dtype=complex)
+    op[0::2, 0::2] = (u * cos_even) @ u.T
+    op[1::2, 1::2] = (vt.T * np.cos(s)) @ vt
+    sin_link = (u[:, :n_odd] * np.sin(s)) @ vt
+    op[0::2, 1::2] = -1j * sin_link
+    op[1::2, 0::2] = -1j * sin_link.T
+    op *= phase[:, None]
+    op *= phase.conj()
+    return op
 
 
 def _renormalize_columns(op: NDArray[np.complex128]) -> tuple[NDArray[np.complex128], float]:
@@ -121,31 +141,37 @@ def squeeze_op(r: float, theta: float, dim: int) -> tuple[NDArray[np.complex128]
     return _renormalize_columns(op)
 
 
-def thermal_weights(nbar: float, dim: int) -> NDArray[np.float64]:
+def thermal_populations(nbar: float, dim: int) -> NDArray[np.float64]:
     """Geometric level populations of the thermal state, normalized on the cutoff space."""
     if nbar == 0.0:
-        weights = np.zeros(dim)
-        weights[0] = 1.0
-        return weights
-    weights = np.exp(np.arange(dim) * math.log(nbar / (nbar + 1.0)))
-    return weights / weights.sum()
+        pops = np.zeros(dim)
+        pops[0] = 1.0
+        return pops
+    pops = np.exp(np.arange(dim) * math.log(nbar / (nbar + 1.0)))
+    return pops / pops.sum()
 
 
 def build_gw_density(
     p: GwSignalParams, dim: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> TruncatedState:
-    """Displaced squeezed thermal density matrix D S rho_th S† D†."""
-    weights = thermal_weights(p.nbar, dim)
+    """Displaced squeezed thermal density matrix M M† with M = D S sqrt(rho_th)."""
+    root_pops = np.sqrt(thermal_populations(p.nbar, dim))
     if p.r != 0.0:
-        s, _ = squeeze_op(p.r, p.theta, dim)
-        rho = (s * weights) @ s.conj().T  # S diag(w) S†
+        factor, _ = squeeze_op(p.r, p.theta, dim)
+        factor *= root_pops
     else:
-        rho = np.diag(weights).astype(complex)
+        factor = np.diag(root_pops).astype(complex)
     if p.alpha != 0:
-        d, _ = displacement_op(p.alpha, dim)
-        rho = d @ rho @ d.conj().T
+        displaced, _ = displacement_op(p.alpha, dim)
+        # S sqrt(rho_th) maps each parity of levels to itself, so D meets the
+        # even and the odd columns through half-size blocks
+        for parity in range(min(2, dim)):
+            displaced[:, parity::2] = displaced[:, parity::2] @ factor[parity::2, parity::2]
+        factor = displaced
+    rho = factor @ factor.conj().T
     rho /= np.trace(rho).real
-    rho = (rho + rho.conj().T) / 2.0
+    rho += rho.conj().T
+    rho *= 0.5
     tail = float(rho[dim - 1, dim - 1].real)
     if tail > tail_tol:
         raise ValueError(f"tail mass {tail:.3e} exceeds {tail_tol}: increase dim")

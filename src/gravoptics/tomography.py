@@ -48,7 +48,7 @@ class LocalOscillator:
         if self.epsilon >= EPSILON_WARN:
             warnings.warn(
                 f"epsilon = {self.epsilon} is outside the small-fluctuation regime",
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the generated __init__
             )
 
 

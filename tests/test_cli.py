@@ -405,6 +405,28 @@ assert not leaked, leaked
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("t", [None, 0])
+def test_physical_without_t_prints_thresholds(tmp_path, t):
+    # gamma_th and n_th do not depend on t; only the two comparisons are left open
+    from gravoptics.physical import HBAR, K_B
+
+    detector = {
+        "mass": 1800, "length": 3, "omega_ell": 5600, "temperature": 0.01, "quality_factor": 1e7
+    }
+    if t is not None:
+        detector["t"] = t
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"detector": detector}))
+    out = tmp_path / "p.csv"
+    assert main(["physical", "--config", str(path), "--out", str(out)]) == 0
+    header, row = out.read_text().strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert "nan" not in row
+    assert float(fields["gamma_th"]) == K_B * 0.01 / (HBAR * 1e7)
+    assert float(fields["n_th"]) == K_B * 0.01 / (HBAR * 5600)
+    assert (fields["heating_ok"], fields["occupation_ok"]) == ("-1", "-1")
+
+
 def test_physical_landmark(tmp_path):
     out = tmp_path / "p.json"
     assert main(["physical", "--config", str(SCRIPTS / "weber_bar.json"), "--out", str(out)]) == 0

@@ -56,7 +56,9 @@ def test_truncated_state_validation():
                 fock.TruncatedState(3, rho3, 0.0)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 21, 40])
+# 95 and 321 give squeeze chains of both parities with even and odd lengths,
+# and a displacement chain whose odd length leaves a null vector in the SVD
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 21, 40, 95, 321])
 def test_structured_operators_match_dense_expm(dim):
     a = fock.annihilation(dim)
     for alpha in (0.0, 1.3, -0.7, 1.1j, complex(0.8, -0.6), 2.3 * np.exp(0.4j)):
@@ -70,6 +72,17 @@ def test_structured_operators_match_dense_expm(dim):
         ref = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (a.T @ a.T)))
         assert np.max(np.abs(s - ref)) < 1e-12, (r, theta)
         assert leakage < 1e-12
+
+
+def test_chain_exponential_at_the_growth_cutoff():
+    dim = fock.GROWTH_MAX_DIM
+    _, leakage = fock.displacement_op(2.0 * np.exp(0.3j), dim)
+    assert leakage < 1e-12
+    _, leakage = fock.squeeze_op(1.0, 0.7, dim)
+    assert leakage < 1e-12
+    for total_n in (7, 12):
+        u = fock._block_unitary(total_n, 0.0)
+        np.testing.assert_allclose(u, np.eye(total_n + 1), rtol=0.0, atol=1e-15)
 
 
 def test_beamsplitter_unitary_blocks():

@@ -116,8 +116,10 @@ def test_classical_lo_noise_examples():
 
 
 def test_lo_epsilon_warning():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         LocalOscillator(1.0, 0.0, epsilon=0.5)
+    # the warning names the line that built the oscillator, not the generated __init__
+    assert record[0].filename == __file__
 
 
 def test_snr_examples():
