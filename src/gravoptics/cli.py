@@ -16,6 +16,7 @@ reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -698,6 +699,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> tuple[list[str], list[list], 
 # entry point
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravoptics",

@@ -258,16 +258,35 @@ def simulate_phase_sweep(
     statistics (delta beta)^2 = epsilon |beta|^2.  A draw with 1 + xi < 0 is
     the drive |beta (1 + xi)| at phase phi + pi, which flips the sign of dG1
     and leaves dG2 unchanged.
+
+    The rows are evaluated as arrays over phis, in the operation order of
+    `delta_g2_terms`, so each row equals its per-phase value bit for bit.  The
+    noise is one draw of len(phis) normals, the same stream as one draw per
+    phase.  Two spellings keep the rounding of the scalar path.  The real part
+    of e^{-i phi} w is written out, because a complex array product may be
+    evaluated with fused multiply-adds where the scalar one is not.  |beta|^2
+    is `float_power`, which calls the C library's pow as `beta ** 2` on a
+    float does; that pow is not always correctly rounded, so numpy's array
+    square can differ from it in the last bit.
     """
     if epsilon > 0.0 and rng is None:
         raise ValueError("noise injection needs an rng for reproducibility")
-    rows = []
-    for phi in phis:
-        beta, phase = beta_mag, float(phi)
-        if epsilon > 0.0:
-            beta = beta_mag * (1.0 + rng.normal(0.0, math.sqrt(epsilon)))
-            if beta < 0.0:
-                beta, phase = -beta, phase + math.pi
-        terms = delta_g2_terms(p, LocalOscillator(beta, phase), gamma_t)
-        rows.append((float(phi), terms.dG1, terms.dG2))
-    return rows
+    phis = np.asarray(phis, dtype=float)
+    beta, phase = beta_mag, phis
+    if epsilon > 0.0:
+        beta = beta_mag * (1.0 + rng.normal(0.0, math.sqrt(epsilon), size=len(phis)))
+        flip = beta < 0.0
+        beta, phase = np.where(flip, -beta, beta), np.where(flip, phis + math.pi, phis)
+    elif beta_mag < 0:
+        raise ValueError("beta_mag and epsilon must be >= 0")
+    mu, ntilde, _ = p.central_moments()
+    w = p.alpha * ntilde + np.conj(p.alpha) * mu
+    s, c = math.sin(gamma_t), math.cos(gamma_t)
+    e = np.exp(-1j * (phase + math.pi / 2.0))
+    dg1 = s**3 * c * beta * (math.sqrt(2.0) * (e.real * w.real - e.imag * w.imag))
+    dg2 = s**2 * c**2 * np.float_power(beta, 2) * (
+        (p.nbar + 0.5)
+        * (math.cosh(2 * p.r) - math.sinh(2 * p.r) * np.cos(p.theta - 2.0 * phase))
+        - 0.5
+    )
+    return list(zip(phis.tolist(), dg1.tolist(), dg2.tolist()))

@@ -166,6 +166,24 @@ def test_tomo_survives_negative_drive_draw(tmp_path):
     assert all(math.isfinite(recovered[key]) for key in ("alpha_mag", "r", "theta", "nbar"))
 
 
+def test_repeated_main_calls_do_not_share_state(capsys):
+    # main reuses one parser per process; no call may see a flag of the one before
+    commands = [
+        ["g2", "--config", str(SCRIPTS / "fig3_g2.json"), "--format", "json"],
+        ["g2", "--config", str(SCRIPTS / "fig3_g2.json")],
+        ["tomo", "--config", str(SCRIPTS / "tomo_roundtrip.json"), "--seed", "11"],
+    ]
+    in_process = []
+    for argv in commands:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    assert in_process[0] != in_process[1]  # json, then the config's csv
+    for argv, out in zip(commands, in_process):
+        alone = run_cli(argv)
+        assert alone.returncode == 0
+        assert out == alone.stdout
+
+
 def test_oracle_check_exit_codes():
     proc = run_cli(["oracle-check"])
     assert proc.returncode == 0

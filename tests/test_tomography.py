@@ -209,6 +209,64 @@ def test_negative_drive_draw_is_a_phase_flip():
             assert abs(dg2 - terms.dG2) <= 1e-12 * abs(terms.dG2)
 
 
+def _per_phase_sweep(p, beta_mag, gt, phis, epsilon, rng):
+    """The sweep replayed one phase at a time through delta_g2_terms."""
+    rows = []
+    for phi in phis:
+        beta, phase = beta_mag, float(phi)
+        if epsilon > 0.0:
+            beta = beta_mag * (1.0 + rng.normal(0.0, math.sqrt(epsilon)))
+            if beta < 0.0:
+                beta, phase = -beta, phase + math.pi
+        terms = delta_g2_terms(p, LocalOscillator(beta, phase), gt)
+        rows.append((float(phi), terms.dG1, terms.dG2))
+    return rows
+
+
+def test_phase_sweep_matches_per_phase_terms():
+    # the array evaluation must round exactly as the per-phase terms do: == throughout
+    draws = np.random.default_rng(17)
+    flipped = 0
+    for _ in range(6):
+        p = GwSignalParams(
+            alpha=draws.uniform(0.0, 2.0) * np.exp(1j * draws.uniform(0.0, 2.0 * math.pi)),
+            r=draws.uniform(0.0, 1.0),
+            theta=draws.uniform(0.0, 2.0 * math.pi),
+            nbar=draws.uniform(0.0, 2.0),
+        )
+        gt = draws.uniform(0.01, math.pi / 2.0 - 0.01)
+        beta = draws.uniform(0.1, 4.0)
+        for n in (8, 2048):
+            phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+            rows = simulate_phase_sweep(p, beta, gt, phis)
+            assert rows == _per_phase_sweep(p, beta, gt, phis, 0.0, None)
+            for eps in (1e-3, 0.5):
+                seed = int(draws.integers(2**32))
+                rows = simulate_phase_sweep(p, beta, gt, phis, eps, np.random.default_rng(seed))
+                assert rows == _per_phase_sweep(p, beta, gt, phis, eps, np.random.default_rng(seed))
+                xi = np.random.default_rng(seed).normal(0.0, math.sqrt(eps), size=n)
+                flipped += int(np.count_nonzero(xi < -1.0))
+    assert flipped > 0
+
+
+def test_phase_sweep_edge_behaviour():
+    p = GwSignalParams(alpha=np.exp(0.4j), r=0.5, theta=0.7, nbar=0.2)
+    gt, n = 0.3, 16
+    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    with pytest.raises(ValueError):
+        simulate_phase_sweep(p, -1.0, gt, phis)
+    # with noise a negative beta_mag is accepted: each negative drive draw is a phase flip
+    rows = simulate_phase_sweep(p, -1.0, gt, phis, 0.5, np.random.default_rng(3))
+    assert rows == _per_phase_sweep(p, -1.0, gt, phis, 0.5, np.random.default_rng(3))
+    # the stream advances by exactly one normal draw per phase
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    simulate_phase_sweep(p, 2.0, gt, phis, 1e-3, rng)
+    for _ in range(n):
+        ref.normal(0.0, math.sqrt(1e-3))
+    assert rng.normal() == ref.normal()
+    assert simulate_phase_sweep(p, 2.0, gt, phis.tolist()) == simulate_phase_sweep(p, 2.0, gt, phis)
+
+
 def test_reconstruction_needs_enough_phases():
     with pytest.raises(ValueError):
         reconstruct_gaussian([(0.0, 0.0, 0.0)] * 7, 0.3, 1.0, 0.0)
