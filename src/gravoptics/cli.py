@@ -399,7 +399,7 @@ def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
             raise ValueError("g2 undefined for the vacuum input at a sweep point")
         rows.append(
             [point.get(name, math.nan) for name in sweep_names]
-            + [report.g2, report.g2 - 1.0, report.g2 - 2.0, int(report.g2 > 2.0)]
+            + [report.g2, report.g2_minus_1, report.g2_minus_1 - 1.0, int(report.g2 > 2.0)]
         )
     return header, rows
 

@@ -14,42 +14,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import OpenChannelParams
-from .states import GwSignalParams
+from .states import DetectorScalars, GwSignalParams
 
 
 @dataclass(frozen=True)
 class G2Report:
     """g2(0) evaluation with its ingredients and parameter echo.
 
-    ``g2`` is None when the value is undefined (vacuum 0/0); the note then
-    records why, instead of surfacing a NaN.
+    ``g2`` and ``g2_minus_1`` are None when the value is undefined (vacuum
+    0/0); the note then records why, instead of surfacing a NaN.
+    ``g2_minus_1`` is the Wick excess over <n>^2, not g2 - 1.0, so it keeps
+    its digits where g2 rounds to 1.
     """
 
     g2: float | None
+    g2_minus_1: float | None
     mean_n: float
     mean_n2: float
     params: dict = field(default_factory=dict)
     note: str = ""
 
 
-def _wick_g2(mu: complex, ntilde: float, abar: complex) -> tuple[float | None, float, float]:
-    """(g2 or None, <n>, <n^2>) from central moments via Wick pairing."""
-    a2 = abs(abar) ** 2
-    mean_n = a2 + ntilde
-    m22 = (
-        a2 * a2
-        + 2.0 * (np.conj(abar) ** 2 * mu).real
-        + 4.0 * a2 * ntilde
-        + 2.0 * ntilde * ntilde
-        + abs(mu) ** 2
-    )
-    mean_n2 = m22 + mean_n
-    if mean_n <= 0.0 or mean_n * mean_n == 0.0:  # zero or underflowed occupation
-        return None, mean_n, mean_n2
-    g2 = m22 / mean_n**2
-    if not math.isfinite(g2):
-        return None, mean_n, mean_n2
-    return g2, mean_n, mean_n2
+def _wick_g2(sc: DetectorScalars, params: dict, undefined: str) -> G2Report:
+    """g2 = 1 + excess / <n>^2 by Wick pairing; ``undefined`` is the note when <n> vanishes."""
+    mean_n = sc.b2 + sc.ntilde
+    excess = sc.excess
+    square = mean_n * mean_n
+    mean_n2 = excess + square + mean_n
+    g2_minus_1 = excess / square if mean_n > 0.0 and square != 0.0 else math.nan
+    if not math.isfinite(g2_minus_1):  # zero or underflowed occupation, or an overflow
+        return G2Report(None, None, mean_n, mean_n2, params, undefined)
+    return G2Report(1.0 + g2_minus_1, g2_minus_1, mean_n, mean_n2, params)
 
 
 def g2_ideal(p: GwSignalParams) -> G2Report:
@@ -58,10 +53,9 @@ def g2_ideal(p: GwSignalParams) -> G2Report:
     Computed from the characteristic-function moments (the oracle-certified
     route).  Undefined for the vacuum: the report then carries g2 = None.
     """
-    mu, ntilde, _ = p.central_moments()
-    g2, mean_n, mean_n2 = _wick_g2(mu, ntilde, p.alpha)
-    note = "" if g2 is not None else "vacuum input: g2 is 0/0 and convention-dependent"
-    return G2Report(g2, mean_n, mean_n2, {"params": p}, note)
+    return _wick_g2(
+        p.detector_scalars(), {"params": p}, "vacuum input: g2 is 0/0 and convention-dependent"
+    )
 
 
 def g2_bar_after_evolution(p: GwSignalParams, gamma_t: float) -> G2Report:
@@ -72,11 +66,12 @@ def g2_bar_after_evolution(p: GwSignalParams, gamma_t: float) -> G2Report:
     which keeps the transfer law clean at gamma_t as small as 1e-6 where the
     covariance representation would lose the signal to rounding.
     """
-    mu, ntilde, _ = p.central_moments()
     s = math.sin(gamma_t)
-    g2, mean_n, mean_n2 = _wick_g2(s * s * mu, s * s * ntilde, s * p.alpha)
-    note = "" if g2 is not None else "no detector excitation: g2 undefined"
-    return G2Report(g2, mean_n, mean_n2, {"params": p, "gamma_t": gamma_t}, note)
+    return _wick_g2(
+        p.detector_scalars(s * s),
+        {"params": p, "gamma_t": gamma_t},
+        "no detector excitation: g2 undefined",
+    )
 
 
 def g2_main_text_formula(p: GwSignalParams) -> float:
@@ -118,16 +113,12 @@ def g2_thermal_detector(p: GwSignalParams, n_th: float, gamma_t: float) -> G2Rep
     """
     if n_th < 0:
         raise ValueError("n_th must be >= 0")
-    mu, ntilde, _ = p.central_moments()
-    c2 = math.cos(gamma_t) ** 2
-    s = math.sin(gamma_t)
-    g2, mean_n, mean_n2 = _wick_g2(
-        s * s * mu, c2 * n_th + s * s * ntilde, s * p.alpha
+    s, c = math.sin(gamma_t), math.cos(gamma_t)
+    return _wick_g2(
+        p.detector_scalars(s * s, added=c * c * n_th),
+        {"params": p, "n_th": n_th, "gamma_t": gamma_t},
+        "vacuum detector at t = 0: g2 has a first-kind discontinuity here",
     )
-    note = ""
-    if g2 is None:
-        note = "vacuum detector at t = 0: g2 has a first-kind discontinuity here"
-    return G2Report(g2, mean_n, mean_n2, {"params": p, "n_th": n_th, "gamma_t": gamma_t}, note)
 
 
 def g2_thermal_detector_closed_form(p: GwSignalParams, n_th: float, gamma_t: float) -> float:
@@ -172,15 +163,10 @@ def g2_open(
     kappa t grows.  The report echoes the heating-rate condition
     Gamma_th t < n_gw (gamma_t)^2 with Gamma_th = kappa nbar_env.
     """
-    mu, ntilde, _ = p.central_moments()
     decay = math.exp(-ch.kappa * t)
     grow = -math.expm1(-ch.kappa * t)
     s = math.sin(gamma_t)
-    g2, mean_n, mean_n2 = _wick_g2(
-        decay * s * s * mu,
-        decay * s * s * ntilde + grow * ch.nbar,
-        math.sqrt(decay) * s * p.alpha,
-    )
+    sc = p.detector_scalars(decay * (s * s), added=grow * ch.nbar)
     gamma_th_t = ch.kappa * ch.nbar * t
     signal = p.mean_occupation * gamma_t * gamma_t
     params = {
@@ -192,8 +178,7 @@ def g2_open(
         "n_grav_gt2": signal,
         "heating_condition_met": bool(gamma_th_t < signal),
     }
-    note = "" if g2 is not None else "no detector excitation: g2 undefined"
-    return G2Report(g2, mean_n, mean_n2, params, note)
+    return _wick_g2(sc, params, "no detector excitation: g2 undefined")
 
 
 def g2_open_closed_form(

@@ -4,8 +4,10 @@ Three independent routes to the same numbers, cross-checked in the tests:
 
 * closed forms for n = 0, 1, 2 (scalar, stable from desk scale up to
   astrophysical amplitudes through the scaled parameterization);
-* generating-function differentiation via one exact polynomial series table,
-  which holds every level up to the highest one asked for;
+* the generating-function route: the power series of log G(u), G the number
+  generating function, built from the shared detector scalars
+  (``states.DetectorScalars``) and exponentiated by a recurrence, every
+  level up to the highest one asked for in O(n^2) scalar operations;
 * loop-hafnian evaluation over partition enumeration (exact, n <= 8, at
   O(4^k k) cost), the cross-check route only.
 
@@ -18,20 +20,20 @@ well-conditioned ranges (the detector marginal is always desk-scale).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .series import exp_bivariate_quadratic
-from .states import GwSignalParams, LadderMoments
+from .states import DetectorScalars, GwSignalParams, LadderMoments
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 NEGATIVE_CLAMP = 1e-12
 HAFNIAN_MAX_PAIRS = 8
-PN_MAX = 32  # bound of the cli's n_max; one series table to it takes ~12 ms
+PN_MAX = 32  # bound of the cli's n_max; the log-G series to it takes ~0.15 ms
 
 
 def poisson_pn(mean: float, n: int) -> float:
@@ -168,30 +170,58 @@ def prob_n_hafnian(bar: LadderMoments, n: int) -> float:
     return _finalize_probability(value, cm.prefactor * lh.imag / math.factorial(n), f"P_{n}")
 
 
-def generating_pn_table(bar: LadderMoments, n_max: int) -> list[float]:
-    """P_0..P_{n_max} as mixed derivatives of the Gaussian generating function.
+def pn_series(sc: DetectorScalars, n_max: int) -> list[float]:
+    """P_0..P_{n_max} from the power series of log G(u), G(u) = sum_n P_n u^n.
 
-    Independent of the partition enumeration: the quadratic exponent
-    alpha^T A alpha / 2 + F alpha is expanded once as an exact bivariate series
-    and each P_n is read off its (n, n) coefficient.  A table to degree n_max
-    gives every (n, n) coefficient the same bits as a table to degree n.
+    With sigma = 1 - u, G = D^{-1/2} exp(-N/D), where
+    D = 1 + 2 sigma ntilde + sigma^2 d (ntilde + m) and
+    N = sigma b2 + sigma^2 b2 (d + 2 m cos^2 psi).  D factors as
+    (1 + sigma a)(1 + sigma d) with a = ntilde + m, and N/D splits into
+    sigma b_plus / (1 + sigma a) + sigma b_minus / (1 + sigma d).  Each piece
+    is a geometric series in u with ratio rho_a = a / (1 + a) or
+    rho_d = d / (1 + d), both in [-1, 1), so log G = sum_j g_j u^j has
+    j g_j = (rho_a^j + rho_d^j) / 2
+            + j (b_plus rho_a^{j-1} / (1 + a)^2 + b_minus rho_d^{j-1} / (1 + d)^2)
+    for j >= 1: a few terms, none a difference of large numbers.  exp of the
+    series is f_0 = exp(g_0), f_k = (1/k) sum_j j g_j f_{k-j} (Stanley,
+    Enumerative Combinatorics 2, ch. 6), so an underflowed P_0 gives zero rows.
+    """
+    a = sc.ntilde + sc.m
+    qa, qd = 1.0 + a, 1.0 + sc.d
+    rho_a, rho_d = a / qa, sc.d / qd
+    wa, wd = sc.b_plus / (qa * qa), sc.b_minus / (qd * qd)
+    g0 = -0.5 * (math.log1p(a) + math.log1p(sc.d)) - sc.b_plus / qa - sc.b_minus / qd
+    jg = [0.0]
+    pa = pd = 1.0  # rho^(j - 1)
+    for j in range(1, n_max + 1):
+        jg.append(j * (wa * pa + wd * pd) + 0.5 * (pa * rho_a + pd * rho_d))
+        pa *= rho_a
+        pd *= rho_d
+    f = [math.exp(g0)]
+    for k in range(1, n_max + 1):
+        f.append(sum(jg[j] * f[k - j] for j in range(1, k + 1)) / k)
+    return [_finalize_probability(value, 0.0, f"P_{n} (generating)") for n, value in enumerate(f)]
+
+
+def _bar_scalars(bar: LadderMoments) -> DetectorScalars:
+    """DetectorScalars of single-mode ladder moments (sigma, abar)."""
+    if bar.num_modes != 1:
+        raise ValueError("counting kernels are single-mode")
+    mu, beta = complex(bar.sigma[0, 0]), complex(bar.abar[0])
+    ntilde, m = float(bar.sigma[0, 1].real) - 0.5, abs(mu)
+    psi = 0.5 * cmath.phase(-mu) - cmath.phase(beta)
+    return DetectorScalars.from_phase(abs(beta) * abs(beta), ntilde, m, ntilde - m, psi)
+
+
+def generating_pn_table(bar: LadderMoments, n_max: int) -> list[float]:
+    """P_0..P_{n_max} of single-mode ladder moments by the log-G series (see pn_series).
+
+    Independent of the partition enumeration.  The series is the same for
+    every n_max, so a table to n_max gives each level the bits of a table to n.
     """
     if n_max < 0:
         raise ValueError("n must be >= 0")
-    cm = counting_matrices(bar)
-    table = exp_bivariate_quadratic(
-        0.5 * cm.amat[0, 0],
-        0.5 * (cm.amat[0, 1] + cm.amat[1, 0]),
-        0.5 * cm.amat[1, 1],
-        cm.fvec[0],
-        cm.fvec[1],
-        n_max,
-    )
-    probs = []
-    for n in range(n_max + 1):
-        value = cm.prefactor * math.factorial(n) * table[n, n]
-        probs.append(_finalize_probability(value.real, value.imag, f"P_{n} (generating)"))
-    return probs
+    return pn_series(_bar_scalars(bar), n_max)
 
 
 def prob_n_generating(bar: LadderMoments, n: int) -> float:
@@ -306,10 +336,11 @@ class DeltaPn:
 
 
 def _production_pn(p: GwSignalParams, gamma_t: float, n_max: int) -> list[float]:
-    """P_0..P_{n_max}: one closed-form call for n <= 2, one series table for n >= 3."""
+    """P_0..P_{n_max}: one closed-form call for n <= 2, one log-G series for n >= 3."""
     probs = list(closed_form_p012(p, gamma_t))[: n_max + 1]
     if n_max > 2:
-        probs += generating_pn_table(evolved_bar_moments(p, gamma_t), n_max)[3:]
+        s = math.sin(gamma_t)
+        probs += pn_series(p.detector_scalars(s * s), n_max)[3:]
     return probs
 
 

@@ -1,9 +1,10 @@
 """Exact Taylor coefficients of exp(quadratic) in two formal variables.
 
-Serves the generating-function route to P_n (``counting.generating_pn_table``):
-the Gaussian generating function is differentiated at the origin without
-numeric differentiation, since its exponent is a polynomial and the series
-coefficients are exact up to floating-point rounding.
+No package code calls this module: the generating-function route to P_n now
+takes the univariate log-G series (``counting.pn_series``), which is faster
+and closer to the 80-digit referee.  It stays only because the benchmark's
+tracer (``perfbench/tracer.py``) wraps ``exp_bivariate_quadratic`` by name,
+and it goes together with that target.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -138,6 +139,40 @@ class SymplecticMap:
         return self.matrix.shape[0] // 2
 
 
+class DetectorScalars(NamedTuple):
+    """Normal-ordered moments of one Gaussian mode as small scalars.
+
+    b2 = |beta|^2, ntilde = <da† da>, m = |<da^2>| and d = ntilde - m, each
+    built without subtracting two large numbers.  The displacement is split
+    along the principal axes of the P-function covariance: b_plus = b2 sin^2 psi
+    lies on the axis of variance (ntilde + m)/2 and b_minus = b2 cos^2 psi on
+    that of d/2, with psi = theta/2 - arg beta for <da^2> = -m e^{i theta}.
+    """
+
+    b2: float
+    ntilde: float
+    m: float
+    d: float
+    b_plus: float
+    b_minus: float
+
+    @classmethod
+    def from_phase(cls, b2: float, ntilde: float, m: float, d: float, psi: float):
+        """The scalars with b2 split along the half-angle psi."""
+        sp, cp = math.sin(psi), math.cos(psi)
+        return cls(b2, ntilde, m, d, b2 * (sp * sp), b2 * (cp * cp))
+
+    @property
+    def e1(self) -> float:
+        """b2 ntilde + Re(<da^2> beta*^2) = b2 (d + 2 m sin^2 psi)."""
+        return self.b2 * self.d + 2.0 * self.m * self.b_plus
+
+    @property
+    def excess(self) -> float:
+        """Wick excess <:(Delta n)^2:> = <a†^2 a^2> - <n>^2 = 2 e1 + ntilde^2 + m^2."""
+        return 2.0 * self.e1 + self.ntilde * self.ntilde + self.m * self.m
+
+
 @dataclass(frozen=True)
 class GwSignalParams:
     """Displaced squeezed thermal parameters (alpha, xi = r e^{i theta}, nbar)."""
@@ -180,6 +215,20 @@ class GwSignalParams:
         """
         mu = -(self.nbar + 0.5) * math.sinh(2 * self.r) * np.exp(1j * self.theta)
         return mu, self.n_quantum, (self.nbar + 0.5) * math.cosh(2 * self.r)
+
+    def detector_scalars(self, gain: float = 1.0, added: float = 0.0) -> DetectorScalars:
+        """Scalars of a mode fed by this wave at power gain ``gain``, plus ``added`` thermal quanta.
+
+        gain = sin^2 gamma_t is the detector after exchange evolution, gain = 1
+        the wave mode itself.  d = gain (nbar e^{-2r} + expm1(-2r)/2) + added
+        needs no difference of the e^{2r}-sized ntilde and m.
+        """
+        mag = abs(self.alpha)
+        b2 = gain * (mag * mag)
+        m = gain * ((self.nbar + 0.5) * math.sinh(2 * self.r))
+        d = gain * (self.nbar * math.exp(-2 * self.r) + 0.5 * math.expm1(-2 * self.r)) + added
+        psi = 0.5 * self.theta - cmath.phase(self.alpha)
+        return DetectorScalars.from_phase(b2, gain * self.n_quantum + added, m, d, psi)
 
     @property
     def mean_occupation(self) -> float:

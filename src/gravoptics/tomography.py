@@ -18,13 +18,14 @@ by validating against the large-squeezing limits of both terms.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GwSignalParams
+from .states import DetectorScalars, GwSignalParams
 
 EPSILON_WARN = 0.1
 MIN_PHASES = 8  # reconstruct_gaussian fits five Fourier coefficients
@@ -88,15 +89,8 @@ def quadrature_number_correlation(p: GwSignalParams, phi: float) -> float:
 
 
 def intensity_fluctuation_normal(p: GwSignalParams) -> float:
-    """<:(Delta n)^2:> = 2 Re(alpha*^2 mu) + 2|alpha|^2 ntilde + ntilde^2 + |mu|^2."""
-    mu, ntilde, _ = p.central_moments()
-    a2 = abs(p.alpha) ** 2
-    return (
-        2.0 * (np.conj(p.alpha) ** 2 * mu).real
-        + 2.0 * a2 * ntilde
-        + ntilde * ntilde
-        + abs(mu) ** 2
-    )
+    """<:(Delta n)^2:> = 2 Re(alpha*^2 mu) + 2|alpha|^2 ntilde + ntilde^2 + |mu|^2 (Wick excess)."""
+    return p.detector_scalars().excess
 
 
 def classical_lo_noise(lo: LocalOscillator, gamma_t: float) -> float:
@@ -216,12 +210,10 @@ def reconstruct_gaussian(
         np.exp(-1j * (phis + math.pi / 2.0)) * model_w
     ).real
     model_dg2 = k2 * (ntilde + (np.exp(-2j * phis) * mu).real)
-    dg0_model = math.sin(gamma_t) ** 4 * (
-        2.0 * (np.conj(alpha) ** 2 * mu).real
-        + 2.0 * abs(alpha) ** 2 * ntilde
-        + ntilde * ntilde
-        + s_mag * s_mag
+    fitted = DetectorScalars.from_phase(
+        abs(alpha) * abs(alpha), ntilde, s_mag, ntilde - s_mag, 0.5 * theta - cmath.phase(alpha)
     )
+    dg0_model = math.sin(gamma_t) ** 4 * fitted.excess
     scale = max(np.max(np.abs(dg1)), np.max(np.abs(dg2)), abs(dG0), 1e-300)
     residual = float(
         math.sqrt(

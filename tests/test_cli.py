@@ -223,17 +223,34 @@ def test_bad_gw_number_exit_code(tmp_path, capsys, bad, message):
         assert err.startswith("config error: gw: ") and message in err, (command, err)
 
 
-@pytest.mark.parametrize("alpha_mag", [1e70, 1e50])
-def test_probs_non_finite_row_is_a_numerical_failure(tmp_path, capsys, alpha_mag):
-    # accepted by the config boundary, but the n >= 3 series overflows to NaN:
-    # no NaN row may be printed with exit 0
+@pytest.mark.parametrize("alpha_mag", [1e70, 1e50, 1e30])
+def test_probs_huge_displacement_gives_zero_rows(tmp_path, alpha_mag):
+    # P_0 underflows to zero and the log-G series carries the zero to every
+    # level: zero probabilities, exit 0 and no floating-point warning.  The
+    # coherent reference vanishes too, so the ratio is undefined (NaN)
     path = tmp_path / "c.json"
-    cfg = {"gw": {"alpha_mag": alpha_mag, "r": 0.3}, "detector": {"gamma_t": 0.3}, "n_max": 4}
+    cfg = {"gw": {"alpha_mag": alpha_mag, "r": 0.3}, "detector": {"gamma_t": 0.3}, "n_max": 8}
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o.csv"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["probs", "--config", str(path), "--out", str(out)]) == 2
+        warnings.simplefilter("error")
+        assert main(["probs", "--config", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(9))
+    assert all(row[1:3] == ["0", "0"] and row[3] == "nan" for row in rows), rows
+
+
+def test_probs_non_finite_row_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a NaN reaching the P_n kernel raises: no NaN row may be printed with exit 0
+    from gravoptics import counting
+
+    real = counting.pn_series
+    monkeypatch.setattr(counting, "pn_series", lambda sc, n: real(sc._replace(b_minus=math.nan), n))
+    path = tmp_path / "c.json"
+    cfg = {"gw": {"alpha_mag": 1.0, "r": 0.3}, "detector": {"gamma_t": 0.3}, "n_max": 4}
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.csv"
+    assert main(["probs", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical check failure: P_") and "non-finite" in err, err
     assert not out.exists()
@@ -279,9 +296,7 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        counting, "exp_bivariate_quadratic", counted("series", counting.exp_bivariate_quadratic)
-    )
+    monkeypatch.setattr(counting, "pn_series", counted("series", counting.pn_series))
     monkeypatch.setattr(counting, "closed_form_p012", counted("closed", counting.closed_form_p012))
     path = tmp_path / "c.json"
     for n_max, expected in ((7, {"series": 2, "closed": 2}), (2, {"series": 0, "closed": 2})):

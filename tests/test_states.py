@@ -179,3 +179,34 @@ def test_ladder_transform_unitary():
     np.testing.assert_allclose(m @ m.conj().T, np.eye(6), atol=1e-15)
     omega = symplectic_form(2)
     assert np.max(np.abs(omega @ omega + np.eye(4))) == 0.0
+
+
+@given(
+    st.complex_numbers(max_magnitude=3.0, allow_infinity=False, allow_nan=False),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 1.0),
+)
+def test_detector_scalars_match_central_moments(alpha, r, theta, nbar, gain):
+    # desk scale, where the direct forms of d and e1 lose nothing
+    p = GwSignalParams(alpha=alpha, r=r, theta=theta, nbar=nbar)
+    mu, ntilde, _ = p.central_moments()
+    beta = math.sqrt(gain) * p.alpha
+    sc = p.detector_scalars(gain, added=0.3)
+    ntilde_bar = gain * ntilde + 0.3
+    assert math.isclose(sc.b2, abs(beta) ** 2, rel_tol=1e-13, abs_tol=1e-300)
+    assert math.isclose(sc.b_plus + sc.b_minus, sc.b2, rel_tol=1e-13, abs_tol=1e-300)
+    assert math.isclose(sc.ntilde, ntilde_bar, rel_tol=1e-13)
+    assert math.isclose(sc.m, gain * abs(mu), rel_tol=1e-13, abs_tol=1e-300)
+    assert abs(sc.d - (ntilde_bar - gain * abs(mu))) < 1e-13 * (1.0 + gain * abs(mu))
+    e1 = abs(beta) ** 2 * ntilde_bar + (np.conj(beta) ** 2 * gain * mu).real
+    assert abs(sc.e1 - e1) < 1e-12 * (1.0 + abs(beta) ** 2 * (1.0 + ntilde_bar + gain * abs(mu)))
+
+
+def test_detector_scalars_keep_d_at_large_squeezing():
+    # ntilde and m are ~e^{2r}/4 ~ 2.9e25 here, so their difference is rounding
+    # noise of order 1e9, while d = expm1(-2r)/2 keeps every digit
+    sc = GwSignalParams(r=30.0).detector_scalars()
+    assert sc.d == 0.5 * math.expm1(-60.0)
+    assert abs(sc.ntilde - sc.m - sc.d) > 1.0
