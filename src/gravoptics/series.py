@@ -2,9 +2,10 @@
 
 No package code calls this module: the generating-function route to P_n now
 takes the univariate log-G series (``counting.pn_series``), which is faster
-and closer to the 80-digit referee.  It stays only because the benchmark's
-tracer (``perfbench/tracer.py``) wraps ``exp_bivariate_quadratic`` by name,
-and it goes together with that target.
+and closer to the 80-digit referee.  It stays, imported by the package's
+``__init__``, only because the benchmark's tracer (``perfbench/tracer.py``)
+looks ``gravoptics.series`` up in ``sys.modules`` and wraps
+``exp_bivariate_quadratic`` by name; it goes together with that target.
 """
 
 from __future__ import annotations

@@ -1,24 +1,29 @@
-import importlib
-import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_tracer_targets_resolve(monkeypatch):
-    # the benchmark's tracer wraps these functions by name; a renamed or pruned
-    # one would break every traced benchmark run.  Loading it leaves no
-    # bytecode cache behind in perfbench/.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    assert tracer.TARGETS
-    for module, attribute in tracer.TARGETS:
-        owner = importlib.import_module(f"gravoptics.{module}")
-        assert callable(getattr(owner, attribute, None)), f"{module}.{attribute}"
+def test_tracer_targets_resolve():
+    # the benchmark's worker imports only gravoptics.cli and then installs the
+    # tracer, which wraps each target by name from sys.modules; a renamed,
+    # pruned or no longer imported target would break every traced benchmark
+    # run.  A fresh interpreter sees only what the cli import loads, and -B
+    # leaves no bytecode cache behind in perfbench/.
+    code = f"""
+import sys
+sys.path.insert(0, {str(TRACER.parent)!r})
+import gravoptics.cli
+from tracer import TARGETS, Tracer
+tracer = Tracer()
+tracer.install()
+tracer.uninstall()
+assert TARGETS
+"""
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 ROOT = TRACER.parent.parent
