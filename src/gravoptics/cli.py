@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -36,6 +35,7 @@ from .correlations import (
     g2_ratio_estimator,
     g2_thermal_detector,
     g2_thermal_detector_closed_form,
+    wick_g2_minus_1,
 )
 from .dynamics import (
     OpenChannelParams,
@@ -44,7 +44,7 @@ from .dynamics import (
     squeezing_transfer_variance,
 )
 from .physical import DetectorConfig, coupling_gamma, graviton_flux, noise_thresholds
-from .states import GwSignalParams, make_gw_state, make_vacuum
+from .states import GwSignalParams, check_wave, detector_scalars, each, make_gw_state, make_vacuum
 from .tomography import LocalOscillator
 
 EXIT_OK = 0
@@ -79,10 +79,6 @@ OUTPUT_KEYS = ("path", "format")
 
 class ConfigError(Exception):
     """Configuration problem, reported with the offending key path."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _check_integer(value, key: str, lo: int, hi: float = math.inf) -> None:
@@ -184,6 +180,7 @@ class ScenarioConfig:
         if len(self.sweep) > 2:
             raise ConfigError("sweep: at most 2 axes supported")
         sweepable = {"gamma_t", *SCALED_KEYS, *POLAR_KEYS, *CARTESIAN_KEYS} - {"split"}
+        swept: dict[str, int] = {}
         for i, axis in enumerate(self.sweep):
             if not isinstance(axis, dict):
                 raise ConfigError(f"sweep[{i}]: must be a JSON object")
@@ -195,6 +192,12 @@ class ScenarioConfig:
                     f"sweep[{i}].parameter: {axis['parameter']!r} is not sweepable "
                     f"(choose from {sorted(sweepable)})"
                 )
+            if axis["parameter"] in swept:
+                raise ConfigError(
+                    f"sweep[{i}].parameter: {axis['parameter']!r} is already swept by "
+                    f"sweep[{swept[axis['parameter']]}]"
+                )
+            swept[axis["parameter"]] = i
             scale = axis.get("scale", "lin")
             if scale not in ("lin", "log"):
                 raise ConfigError(f"sweep[{i}].scale: must be 'lin' or 'log'")
@@ -292,28 +295,65 @@ class ScenarioConfig:
         return gamma * t
 
     def gw_params(self, overrides: dict, gamma_t: float) -> GwSignalParams:
-        gw = {**self.gw, **{k: v for k, v in overrides.items() if k not in ("gamma_t",)}}
+        return self._wave(overrides, gamma_t, float, counting.scaled_params, GwSignalParams)
+
+    def gw_columns(self, columns: dict, size: int) -> tuple:
+        """Checked (alpha, r, theta, nbar) arrays over the ``size`` points of the grid columns."""
+
+        def num(value):
+            return value if isinstance(value, np.ndarray) else np.full(size, float(value))
+
+        def checked(alpha, r, theta, nbar):
+            check_wave(alpha, r, theta, nbar)
+            return alpha.astype(complex), r, theta, nbar
+
+        def scaled(*args):
+            return checked(*counting.scaled_state(*args))
+
+        gamma_t = columns.get("gamma_t")
+        if gamma_t is None:
+            # unused by direct state parameters, which fix g2 on their own
+            gamma_t = self.gamma_t({}) if self.detector else 1.0
+        return self._wave(columns, num(gamma_t), num, scaled, checked)
+
+    def _wave(self, overrides: dict, gamma_t, num, scaled, direct):
+        """The wave of the gw section under overrides, each number read by num.
+
+        scaled(x_total, fraction_q, split, gamma_t) or direct(alpha, r, theta,
+        nbar) builds it, whichever parameterization the config uses.
+        """
+        gw = {**self.gw, **{k: v for k, v in overrides.items() if k != "gamma_t"}}
         try:
             if self.scaled:
-                return counting.scaled_params(
-                    float(gw["x_total"]),
-                    float(gw.get("fraction_q", 0.0)),
+                return scaled(
+                    num(gw["x_total"]),
+                    num(gw.get("fraction_q", 0.0)),
                     str(gw.get("split", "thermal")),
                     gamma_t,
                 )
-            mag = float(gw.get("alpha_mag", gw.get("alpha_re", 0.0)))
+            mag = num(gw.get("alpha_mag", gw.get("alpha_re", 0.0)))
             if "alpha_mag" in gw:
-                alpha = mag * np.exp(1j * float(gw.get("alpha_phase", 0.0)))
+                alpha = mag * each(_unit_phasor, num(gw.get("alpha_phase", 0.0)), complex)
             else:
-                alpha = complex(float(gw.get("alpha_re", 0.0)), float(gw.get("alpha_im", 0.0)))
-            return GwSignalParams(
-                alpha=alpha,
-                r=float(gw.get("r", 0.0)),
-                theta=float(gw.get("theta", 0.0)),
-                nbar=float(gw.get("nbar", 0.0)),
+                alpha = _complex(num(gw.get("alpha_re", 0.0)), num(gw.get("alpha_im", 0.0)))
+            return direct(
+                alpha, num(gw.get("r", 0.0)), num(gw.get("theta", 0.0)), num(gw.get("nbar", 0.0))
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"gw: {exc}") from exc
+
+
+def _unit_phasor(phase: float) -> complex:
+    return np.exp(1j * phase)
+
+
+def _complex(re, im):
+    """complex(re, im) of scalars or arrays; re + 1j * im would lose the sign of a zero re."""
+    if not isinstance(re, np.ndarray):
+        return complex(re, im)
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def load_config(path: str | None) -> ScenarioConfig:
@@ -330,32 +370,43 @@ def load_config(path: str | None) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
-def _axis_values(axis: dict) -> list[float]:
+def _axis_values(axis: dict) -> np.ndarray:
     steps = int(axis["steps"])
     lo, hi = float(axis["min"]), float(axis["max"])
     if steps == 1:
-        return [lo]
+        return np.array([lo])
     if axis.get("scale", "lin") == "log":
-        return list(np.geomspace(lo, hi, steps))
-    return list(np.linspace(lo, hi, steps))
+        return np.geomspace(lo, hi, steps)
+    return np.linspace(lo, hi, steps)
 
 
-def _grid(cfg: ScenarioConfig) -> list[dict]:
-    """Ordered override dicts, one per sweep grid point (single point if no sweep)."""
+def _grid(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
+    """The sweep as flat columns by parameter, first axis slowest ({} without a sweep)."""
     names = [axis["parameter"] for axis in cfg.sweep]
-    values = [_axis_values(axis) for axis in cfg.sweep]
-    return [dict(zip(names, point)) for point in itertools.product(*values)]
+    mesh = np.meshgrid(*(_axis_values(axis) for axis in cfg.sweep), indexing="ij")
+    return {name: values.ravel() for name, values in zip(names, mesh)}
 
 
-def _emit(header: list[str], rows: list[list], out, fmt: str) -> None:
-    if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    else:
+def _cell(kind: type) -> str:
+    if issubclass(kind, float):
+        return "%.17g"
+    return "%.0s" if kind is type(None) else "%s"  # None, an undefined value, prints empty
+
+
+def _emit(header: list[str], rows: list, out, fmt: str) -> None:
+    if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
         out.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
         return
+    formats: dict[tuple, str] = {}  # one %-format per row shape
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        shape = tuple(map(type, row))
+        line = formats.get(shape)
+        if line is None:
+            line = formats[shape] = ",".join(map(_cell, shape)) + "\n"
+        lines.append(line % tuple(row))
+    out.write("".join(lines))
 
 
 # ----------------------------------------------------------------------------
@@ -364,44 +415,55 @@ def _emit(header: list[str], rows: list[list], out, fmt: str) -> None:
 
 def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
     n_max = int(cfg.extra.get("n_max", 3))
-    sweep_names = [axis["parameter"] for axis in cfg.sweep]
-    header = sweep_names + ["n", "p_n", "p_n_coherent", "delta_ratio"]
+    columns = _grid(cfg)
+    header = [*columns, "n", "p_n", "p_n_coherent", "delta_ratio"]
     rows = []
-    for point in _grid(cfg):
+    for coords in list(zip(*columns.values())) or [()]:
+        point = dict(zip(columns, coords))
         gamma_t = cfg.gamma_t(point)
         p = cfg.gw_params(point, gamma_t)
-        coords = [point.get(name, math.nan) for name in sweep_names]
         for d in counting.delta_pn(p, gamma_t, n_max):
-            ratio = d.ratio if d.ratio is not None else math.nan
-            rows.append(coords + [d.n, d.pn, d.pn_coherent, ratio])
+            rows.append([*coords, d.n, d.pn, d.pn_coherent, d.ratio])
     return header, rows
 
 
-def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
+def _g2_minus_1(cfg: ScenarioConfig, columns: dict, size: int) -> np.ndarray:
+    """g2 - 1 at every grid point, in one array pass.
+
+    A per-point loop stops at the first point that is rejected or has no g2.
+    When a check rejects point k, the points before k are evaluated again, so
+    that an undefined g2 among them comes first, as it would in that loop.
+    """
+    try:
+        state = cfg.gw_columns(columns, size)
+    except ConfigError as exc:
+        point = getattr(exc.__cause__, "point", 0)
+        if point:
+            _g2_minus_1(cfg, {k: v[:point] for k, v in columns.items()}, point)
+        raise
+    g2_minus_1 = wick_g2_minus_1(detector_scalars(*state))
+    if not np.isfinite(g2_minus_1).all():
+        raise ValueError("g2 undefined for the vacuum input at a sweep point")
+    return g2_minus_1
+
+
+def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[tuple]]:
     sweep_names = [axis["parameter"] for axis in cfg.sweep]
     if not cfg.scaled and "gamma_t" in sweep_names:
         raise ConfigError(
             f"sweep[{sweep_names.index('gamma_t')}].parameter: g2 of direct gw parameters "
             "does not depend on gamma_t, so a gamma_t axis would give identical rows"
         )
+    if cfg.scaled and not (cfg.detector or "gamma_t" in sweep_names):
+        raise ConfigError("g2: the scaled parameterization needs detector.gamma_t")
+    columns = _grid(cfg)
+    size = math.prod(int(axis["steps"]) for axis in cfg.sweep)
+    with np.errstate(all="ignore"):  # an overflow is a rejected point, not a warning
+        g2_minus_1 = _g2_minus_1(cfg, columns, size)
+    g2 = 1.0 + g2_minus_1
     header = sweep_names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
-    rows = []
-    for point in _grid(cfg):
-        if cfg.detector or "gamma_t" in point:
-            gamma_t = cfg.gamma_t(point)
-        elif cfg.scaled:
-            raise ConfigError("g2: the scaled parameterization needs detector.gamma_t")
-        else:
-            gamma_t = 1.0  # unused: direct state parameters fix g2 on their own
-        p = cfg.gw_params(point, gamma_t)
-        report = g2_ideal(p)
-        if report.g2 is None:
-            raise ValueError("g2 undefined for the vacuum input at a sweep point")
-        rows.append(
-            [point.get(name, math.nan) for name in sweep_names]
-            + [report.g2, report.g2_minus_1, report.g2_minus_1 - 1.0, int(report.g2 > 2.0)]
-        )
-    return header, rows
+    table = [*columns.values(), g2, g2_minus_1, g2_minus_1 - 1.0, (g2 > 2.0).astype(int)]
+    return header, list(zip(*(column.tolist() for column in table)))
 
 
 def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:

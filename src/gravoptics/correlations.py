@@ -35,13 +35,25 @@ class G2Report:
     note: str = ""
 
 
+def wick_g2_minus_1(sc: DetectorScalars):
+    """g2 - 1 = excess / <n>^2 of scalars or of arrays over grid points.
+
+    NaN where <n> vanishes or its square underflows; inf or NaN also mark an
+    overflow, so only a finite value is a defined g2 - 1.
+    """
+    mean_n = sc.mean_n
+    square = mean_n * mean_n
+    if isinstance(square, np.ndarray):
+        out = np.full(square.shape, math.nan)
+        return np.divide(sc.excess, square, out=out, where=(mean_n > 0.0) & (square != 0.0))
+    return sc.excess / square if mean_n > 0.0 and square != 0.0 else math.nan
+
+
 def _wick_g2(sc: DetectorScalars, params: dict, undefined: str) -> G2Report:
     """g2 = 1 + excess / <n>^2 by Wick pairing; ``undefined`` is the note when <n> vanishes."""
-    mean_n = sc.b2 + sc.ntilde
-    excess = sc.excess
-    square = mean_n * mean_n
-    mean_n2 = excess + square + mean_n
-    g2_minus_1 = excess / square if mean_n > 0.0 and square != 0.0 else math.nan
+    mean_n = sc.mean_n
+    mean_n2 = sc.excess + mean_n * mean_n + mean_n
+    g2_minus_1 = wick_g2_minus_1(sc)
     if not math.isfinite(g2_minus_1):  # zero or underflowed occupation, or an overflow
         return G2Report(None, None, mean_n, mean_n2, params, undefined)
     return G2Report(1.0 + g2_minus_1, g2_minus_1, mean_n, mean_n2, params)

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .states import DetectorScalars, GwSignalParams, LadderMoments
+from .states import (
+    DetectorScalars,
+    GwSignalParams,
+    LadderMoments,
+    each,
+    entry,
+    raise_first_failure,
+)
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -393,26 +400,52 @@ def delta_p1_coherent_dominated(
     return 0.5 * n_grav * bracket * g2 * g2 * math.exp(-n_grav * g2)
 
 
+def _sqrt_clamped(x: float) -> float:
+    return math.sqrt(max(x, 0.0))
+
+
+def _asinh_sqrt(x: float) -> float:
+    return math.asinh(math.sqrt(x))
+
+
+def scaled_state(x_total, fraction_q, split: str, gamma_t):
+    """(alpha, r, theta, nbar) realizing n_grav (gamma_t)^2 = x_total at a given n_q split.
+
+    ``split`` is "thermal" (nbar = n_q, r = 0) or "squeezed"
+    (sinh^2 r = n_q, nbar = 0).  The numbers are scalars, or equal-length
+    arrays over grid points (see ``states.raise_first_failure``).
+    """
+    messages = (
+        "fraction_q must lie in [0, 1]",
+        "x_total must be >= 0",
+        "gamma_t must be > 0",
+        "gamma_t = {} underflows: gamma_t^2 must be > 0",
+    )
+    # a NaN x_total or gamma_t passes, as the comparisons x < 0 and g <= 0 do
+    ok = [
+        (0.0 <= fraction_q) & (fraction_q <= 1.0),
+        (x_total >= 0.0) | (x_total != x_total),
+        (gamma_t > 0.0) | (gamma_t != gamma_t),
+        gamma_t * gamma_t != 0.0,
+    ]
+    raise_first_failure(ok, lambda k, i: messages[k].format(entry(gamma_t, i)))
+    n_grav = x_total / (gamma_t * gamma_t)
+    n_q = fraction_q * n_grav
+    alpha = each(_sqrt_clamped, n_grav - n_q)
+    zero = np.zeros_like(n_q) if isinstance(n_q, np.ndarray) else 0.0
+    if split == "thermal":
+        return alpha, zero, zero, n_q
+    if split == "squeezed":
+        return alpha, each(_asinh_sqrt, n_q), zero, zero
+    raise ValueError(f"unknown split {split!r}")
+
+
 def scaled_params(
     x_total: float, fraction_q: float, split: str, gamma_t: float
 ) -> GwSignalParams:
-    """Wave parameters realizing n_grav (gamma_t)^2 = x_total at a given n_q split.
+    """``scaled_state`` as wave parameters.
 
-    ``split`` is "thermal" (nbar = n_q, r = 0) or "squeezed"
-    (sinh^2 r = n_q, nbar = 0).  Keeps astrophysical sweeps conditioned: the
-    caller never handles n_grav ~ 1e35 displacements directly.
+    Keeps astrophysical sweeps conditioned: the caller never handles
+    n_grav ~ 1e35 displacements directly.
     """
-    if not 0.0 <= fraction_q <= 1.0:
-        raise ValueError("fraction_q must lie in [0, 1]")
-    if x_total < 0.0:
-        raise ValueError("x_total must be >= 0")
-    if gamma_t <= 0.0:
-        raise ValueError("gamma_t must be > 0")
-    n_grav = x_total / (gamma_t * gamma_t)
-    n_q = fraction_q * n_grav
-    alpha = math.sqrt(max(n_grav - n_q, 0.0))
-    if split == "thermal":
-        return GwSignalParams(alpha=alpha, nbar=n_q)
-    if split == "squeezed":
-        return GwSignalParams(alpha=alpha, r=math.asinh(math.sqrt(n_q)))
-    raise ValueError(f"unknown split {split!r}")
+    return GwSignalParams(*scaled_state(x_total, fraction_q, split, gamma_t))

@@ -139,6 +139,97 @@ class SymplecticMap:
         return self.matrix.shape[0] // 2
 
 
+class PointError(ValueError):
+    """A state check failed; ``point`` is the first failing grid point (0 for one state)."""
+
+    def __init__(self, message: str, point: int = 0):
+        super().__init__(message)
+        self.point = point
+
+
+def raise_first_failure(ok: list, message) -> None:
+    """Raise the first failing check of the first failing point, as a per-point loop would.
+
+    ``ok`` holds one flag per check, in the order one state is checked: a
+    bool for one state, or a bool array over grid points.  ``message(k, i)``
+    words check k failing at point i (None for one state).
+    """
+    if not isinstance(ok[0], np.ndarray):
+        if not all(ok):
+            raise PointError(message(ok.index(False), None))
+        return
+    size = ok[0].size
+    first = [size if flag.all() else int(flag.argmin()) for flag in ok]
+    point = min(first)
+    if point < size:
+        raise PointError(message(first.index(point), point), point)
+
+
+def entry(x, i: int | None):
+    """Entry i of an array as a Python number, or a scalar itself (i is None)."""
+    return x if i is None else x[i].item()
+
+
+def each(fn, x, dtype=float):
+    """fn of a scalar, or of every entry of an array, always through the scalar fn.
+
+    numpy's exp, expm1, sinh, cosh and arcsinh loops round differently from
+    libm on some inputs, so array paths take their transcendentals from
+    ``math`` and give the bits of the scalar path.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), dtype, x.size)
+    return fn(x)
+
+
+def _cosh_or_inf(x: float) -> float:
+    try:
+        return math.cosh(x)
+    except OverflowError:
+        return math.inf
+
+
+def _modulus(z) -> float:
+    return abs(complex(z))  # a Python float, which overflows to inf without a numpy warning
+
+
+def _sinh_squared(x: float) -> float:
+    return math.sinh(x) ** 2
+
+
+def check_wave(alpha, r, theta, nbar) -> None:
+    """Reject a wave state that is not finite, has r or nbar < 0, or overflows a kernel.
+
+    Takes the four parameters as scalars, or as equal-length arrays over grid
+    points (see ``raise_first_failure``).
+    """
+    nu = (nbar + 0.5) * each(_cosh_or_inf, 2 * r)
+    mag = each(_modulus, alpha)
+    mean = mag * mag + nu - 0.5
+    wave = (("alpha", alpha), ("r", r), ("theta", theta), ("nbar", nbar))
+
+    def message(k: int, i: int | None) -> str:
+        if k < 4:
+            name, value = wave[k]
+            return f"{name} must be finite, got {entry(value, i)}"
+        if k == 4:
+            return "squeezing magnitude r must be >= 0"
+        if k == 5:
+            return "thermal occupation nbar must be >= 0"
+        if k == 6:  # the Wick and closed-form kernels square |mu| <= nu
+            return (
+                f"r = {entry(r, i)}, nbar = {entry(nbar, i)} overflows cosh(2r): "
+                "nu^2 must be finite"
+            )
+        # the Wick kernel squares <a†a>
+        return f"|alpha| = {entry(mag, i)} overflows: |alpha|^2 and <a†a>^2 must be finite"
+
+    finite = np.isfinite if isinstance(r, np.ndarray) else cmath.isfinite
+    # a NaN r or nbar fails its finiteness check before the sign checks
+    ok = [finite(alpha), finite(r), finite(theta), finite(nbar), r >= 0, nbar >= 0]
+    raise_first_failure(ok + [finite(nu * nu), finite(mean * mean)], message)
+
+
 class DetectorScalars(NamedTuple):
     """Normal-ordered moments of one Gaussian mode as small scalars.
 
@@ -147,6 +238,7 @@ class DetectorScalars(NamedTuple):
     along the principal axes of the P-function covariance: b_plus = b2 sin^2 psi
     lies on the axis of variance (ntilde + m)/2 and b_minus = b2 cos^2 psi on
     that of d/2, with psi = theta/2 - arg beta for <da^2> = -m e^{i theta}.
+    Each field is a float, or an array over grid points.
     """
 
     b2: float
@@ -159,8 +251,13 @@ class DetectorScalars(NamedTuple):
     @classmethod
     def from_phase(cls, b2: float, ntilde: float, m: float, d: float, psi: float):
         """The scalars with b2 split along the half-angle psi."""
-        sp, cp = math.sin(psi), math.cos(psi)
+        sp, cp = each(math.sin, psi), each(math.cos, psi)
         return cls(b2, ntilde, m, d, b2 * (sp * sp), b2 * (cp * cp))
+
+    @property
+    def mean_n(self) -> float:
+        """<n> = b2 + ntilde."""
+        return self.b2 + self.ntilde
 
     @property
     def e1(self) -> float:
@@ -173,6 +270,28 @@ class DetectorScalars(NamedTuple):
         return 2.0 * self.e1 + self.ntilde * self.ntilde + self.m * self.m
 
 
+def _n_quantum(r, nbar):
+    # cosh(2r) - 1 = 2 sinh^2 r avoids cancellation at small r
+    return nbar * each(math.cosh, 2 * r) + each(_sinh_squared, r)
+
+
+def detector_scalars(alpha, r, theta, nbar, gain=1.0, added=0.0) -> DetectorScalars:
+    """Scalars of a mode fed by a wave at power gain ``gain``, plus ``added`` thermal quanta.
+
+    gain = sin^2 gamma_t is the detector after exchange evolution, gain = 1
+    the wave mode itself.  d = gain (nbar e^{-2r} + expm1(-2r)/2) + added
+    needs no difference of the e^{2r}-sized ntilde and m.  Takes scalars, or
+    equal-length arrays over grid points of a checked state (``check_wave``)
+    with a complex alpha.
+    """
+    mag = each(abs, alpha)
+    b2 = gain * (mag * mag)
+    m = gain * ((nbar + 0.5) * each(math.sinh, 2 * r))
+    d = gain * (nbar * each(math.exp, -2 * r) + 0.5 * each(math.expm1, -2 * r)) + added
+    psi = 0.5 * theta - each(cmath.phase, alpha)
+    return DetectorScalars.from_phase(b2, gain * _n_quantum(r, nbar) + added, m, d, psi)
+
+
 @dataclass(frozen=True)
 class GwSignalParams:
     """Displaced squeezed thermal parameters (alpha, xi = r e^{i theta}, nbar)."""
@@ -183,28 +302,7 @@ class GwSignalParams:
     nbar: float = 0.0
 
     def __post_init__(self):
-        params = (("alpha", self.alpha), ("r", self.r), ("theta", self.theta), ("nbar", self.nbar))
-        for name, value in params:
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.r < 0:
-            raise ValueError("squeezing magnitude r must be >= 0")
-        if self.nbar < 0:
-            raise ValueError("thermal occupation nbar must be >= 0")
-        try:
-            nu = (self.nbar + 0.5) * math.cosh(2 * self.r)
-        except OverflowError:
-            nu = math.inf
-        if not math.isfinite(nu * nu):  # the Wick and closed-form kernels square |mu| <= nu
-            raise ValueError(
-                f"r = {self.r}, nbar = {self.nbar} overflows cosh(2r): nu^2 must be finite"
-            )
-        mag = abs(complex(self.alpha))
-        mean = mag * mag + float(nu) - 0.5  # Python float products overflow to inf, never raise
-        if not math.isfinite(mean * mean):  # the Wick kernel squares <a†a>
-            raise ValueError(
-                f"|alpha| = {mag} overflows: |alpha|^2 and <a†a>^2 must be finite"
-            )
+        check_wave(self.alpha, self.r, self.theta, self.nbar)
         object.__setattr__(self, "alpha", complex(self.alpha))
 
     def central_moments(self) -> tuple[complex, float, float]:
@@ -217,18 +315,8 @@ class GwSignalParams:
         return mu, self.n_quantum, (self.nbar + 0.5) * math.cosh(2 * self.r)
 
     def detector_scalars(self, gain: float = 1.0, added: float = 0.0) -> DetectorScalars:
-        """Scalars of a mode fed by this wave at power gain ``gain``, plus ``added`` thermal quanta.
-
-        gain = sin^2 gamma_t is the detector after exchange evolution, gain = 1
-        the wave mode itself.  d = gain (nbar e^{-2r} + expm1(-2r)/2) + added
-        needs no difference of the e^{2r}-sized ntilde and m.
-        """
-        mag = abs(self.alpha)
-        b2 = gain * (mag * mag)
-        m = gain * ((self.nbar + 0.5) * math.sinh(2 * self.r))
-        d = gain * (self.nbar * math.exp(-2 * self.r) + 0.5 * math.expm1(-2 * self.r)) + added
-        psi = 0.5 * self.theta - cmath.phase(self.alpha)
-        return DetectorScalars.from_phase(b2, gain * self.n_quantum + added, m, d, psi)
+        """``detector_scalars`` of this wave."""
+        return detector_scalars(self.alpha, self.r, self.theta, self.nbar, gain, added)
 
     @property
     def mean_occupation(self) -> float:
@@ -238,8 +326,7 @@ class GwSignalParams:
     @property
     def n_quantum(self) -> float:
         """Non-coherent occupation (nbar + 1/2) cosh(2r) - 1/2, >= 0."""
-        # cosh(2r) - 1 = 2 sinh^2 r avoids cancellation at small r
-        return self.nbar * math.cosh(2 * self.r) + math.sinh(self.r) ** 2
+        return _n_quantum(self.r, self.nbar)
 
 
 def make_vacuum(n_modes: int) -> GaussianState:

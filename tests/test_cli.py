@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -5,9 +6,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gravoptics.cli import ConfigError, ScenarioConfig, load_config, main
+from gravoptics.correlations import g2_ideal
 from gravoptics.counting import PN_MAX
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -227,7 +230,8 @@ def test_bad_gw_number_exit_code(tmp_path, capsys, bad, message):
 def test_probs_huge_displacement_gives_zero_rows(tmp_path, alpha_mag):
     # P_0 underflows to zero and the log-G series carries the zero to every
     # level: zero probabilities, exit 0 and no floating-point warning.  The
-    # coherent reference vanishes too, so the ratio is undefined (NaN)
+    # coherent reference vanishes too, so the ratio is undefined: an empty CSV
+    # cell and a JSON null, never NaN
     path = tmp_path / "c.json"
     cfg = {"gw": {"alpha_mag": alpha_mag, "r": 0.3}, "detector": {"gamma_t": 0.3}, "n_max": 8}
     path.write_text(json.dumps(cfg))
@@ -235,9 +239,18 @@ def test_probs_huge_displacement_gives_zero_rows(tmp_path, alpha_mag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["probs", "--config", str(path), "--out", str(out)]) == 0
+        as_json = ["--out", str(out) + ".json", "--format", "json"]
+        assert main(["probs", "--config", str(path), *as_json]) == 0
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     assert [int(row[0]) for row in rows] == list(range(9))
-    assert all(row[1:3] == ["0", "0"] and row[3] == "nan" for row in rows), rows
+    assert all(row[1:] == ["0", "0", ""] for row in rows), rows
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    records = json.loads(Path(str(out) + ".json").read_text(), parse_constant=reject)
+    assert [r["n"] for r in records] == list(range(9))
+    assert all(r["p_n"] == r["p_n_coherent"] == 0.0 and r["delta_ratio"] is None for r in records)
 
 
 def test_probs_non_finite_row_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -389,6 +402,22 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
         ),
         ({"subcommand": "physical", "detector": {**WEBER, "t": 1e300}}, "detector"),
         ({"subcommand": "physical", "detector": {**WEBER, "quality_factor": 1e-300}}, "detector"),
+        # a parameter swept twice: one of its axes would be ignored
+        (
+            {
+                "subcommand": "g2",
+                "sweep": [
+                    {"parameter": "r", "min": 0.1, "max": 0.5, "steps": 3},
+                    {"parameter": "r", "min": 0.2, "max": 0.3, "steps": 2},
+                ],
+            },
+            "sweep[1].parameter",
+        ),
+        # gamma_t^2 underflows, so n_grav = x_total / gamma_t^2 has no value
+        (
+            {"gw": {"x_total": 1.0, "fraction_q": 0.1}, "detector": {"gamma_t": 1e-170}},
+            "gw",
+        ),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):
@@ -399,6 +428,157 @@ def test_config_boundary_exit_code(tmp_path, capsys, change, key):
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+UNDEFINED_G2 = "g2 undefined for the vacuum input at a sweep point"
+
+
+def _g2_point_by_point(raw: dict) -> tuple[int, str]:
+    """(exit code, CSV or stderr) of g2 replayed one point at a time.
+
+    Each point goes through GwSignalParams and g2_ideal, in itertools.product
+    order, and stops at the first point that is rejected or has no g2: the
+    per-point loop that the array pass of cmd_g2 replaced.
+    """
+    cfg = ScenarioConfig.from_dict(raw)
+    names = [axis["parameter"] for axis in cfg.sweep]
+    axes = []
+    for axis in cfg.sweep:
+        lo, hi, steps = float(axis["min"]), float(axis["max"]), int(axis["steps"])
+        space = np.geomspace if axis.get("scale") == "log" else np.linspace
+        axes.append([lo] if steps == 1 else list(space(lo, hi, steps)))
+    lines = [",".join(names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"])]
+    for point in itertools.product(*axes):
+        overrides = dict(zip(names, point))
+        gamma_t = cfg.gamma_t(overrides) if cfg.detector or "gamma_t" in overrides else 1.0
+        try:
+            report = g2_ideal(cfg.gw_params(overrides, gamma_t))
+        except ConfigError as exc:
+            return 1, f"config error: {exc}\n"
+        if report.g2 is None:
+            return 2, f"numerical check failure: {UNDEFINED_G2}\n"
+        cells = [*point, report.g2, report.g2_minus_1, report.g2_minus_1 - 1.0]
+        lines.append(",".join(format(float(x), ".17g") for x in cells) + f",{int(report.g2 > 2.0)}")
+    return 0, "\n".join(lines) + "\n"
+
+
+def _axis(name: str, lo: float, hi: float, steps: int, scale: str = "lin") -> dict:
+    return {"parameter": name, "min": lo, "max": hi, "steps": steps, "scale": scale}
+
+
+POLAR = {"alpha_mag": 1.3, "alpha_phase": 2.1, "r": 0.4, "theta": 0.9, "nbar": 0.3}
+CARTESIAN = {"alpha_re": -0.7, "alpha_im": 0.4, "r": 0.6, "theta": 4.0, "nbar": 0.2}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # direct polar: r from 0, a log nbar axis; then alpha_phase and theta
+        {"gw": POLAR, "sweep": [_axis("r", 0.0, 1.5, 9), _axis("nbar", 1e-3, 2.0, 7, "log")]},
+        {"gw": POLAR, "sweep": [_axis("alpha_phase", -3.0, 3.0, 8), _axis("theta", 0.0, 6.2, 6)]},
+        # direct cartesian with a physical detector, whose gamma_t g2 does not read
+        {
+            "gw": CARTESIAN,
+            "detector": json.loads((SCRIPTS / "weber_bar.json").read_text())["detector"],
+            "sweep": [_axis("alpha_re", -2.0, 2.0, 9), _axis("alpha_im", 0.0, 1.0, 1)],
+        },
+        # scaled, fraction_q from 0, thermal and squeezed
+        {
+            "gw": {"x_total": 1.0, "split": "thermal"},
+            "detector": {"gamma_t": 1e-9},
+            "sweep": [_axis("fraction_q", 0.0, 0.9, 7), _axis("x_total", 0.3, 3.0, 5, "log")],
+        },
+        {
+            "gw": {"x_total": 1.0, "split": "squeezed"},
+            "detector": {"gamma_t": 1e-17},
+            "sweep": [_axis("fraction_q", 1e-12, 0.99, 9, "log"), _axis("x_total", 0.5, 2.0, 4)],
+        },
+        # a gamma_t axis of the scaled parameterization, and one 1-step axis
+        {
+            "gw": {"x_total": 2.0, "fraction_q": 0.3, "split": "squeezed"},
+            "sweep": [_axis("gamma_t", 1e-6, 1.4, 6, "log"), _axis("fraction_q", 0.2, 0.2, 1)],
+        },
+        # no sweep
+        {"gw": POLAR},
+        {
+            "gw": {"x_total": 1.0, "fraction_q": 1e-6, "split": "squeezed"},
+            "detector": {"gamma_t": 1e-3},
+        },
+    ],
+    ids=["polar", "polar-phases", "cartesian-physical", "thermal", "squeezed", "gamma_t-axis",
+         "polar-point", "squeezed-point"],
+)
+def test_g2_grid_matches_per_point_path(tmp_path, capsys, raw):
+    # the array pass over the grid gives the bytes of the per-point path
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    code, expected = _g2_point_by_point(raw)
+    assert code == 0
+    assert main(["g2", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    ("raw", "code"),
+    [
+        # a vacuum point (x_total = 0) before an out-of-range fraction_q
+        (
+            {
+                "gw": {"x_total": 1.0, "split": "thermal"},
+                "detector": {"gamma_t": 0.1},
+                "sweep": [_axis("x_total", 0.0, 1.0, 2), _axis("fraction_q", 0.5, 1.5, 3)],
+            },
+            2,
+        ),
+        # the same points in the reverse order
+        (
+            {
+                "gw": {"x_total": 1.0, "split": "thermal"},
+                "detector": {"gamma_t": 0.1},
+                "sweep": [_axis("fraction_q", 1.5, 0.5, 3), _axis("x_total", 0.0, 1.0, 2)],
+            },
+            1,
+        ),
+        # cosh(2r) overflows from the second r on, after a vacuum-free first row
+        (
+            {
+                "gw": {"alpha_mag": 1.0, "nbar": 0.1},
+                "sweep": [_axis("r", 0.1, 400.0, 3), _axis("nbar", 0.1, 0.2, 2)],
+            },
+            1,
+        ),
+        # a vacuum point after the overflowing r: the overflow comes first
+        ({"gw": {"alpha_mag": 0.0}, "sweep": [_axis("r", 400.0, 0.0, 3)]}, 1),
+        # the vacuum at the last point of a grid
+        (
+            {
+                "gw": {"alpha_mag": 0.0},
+                "sweep": [_axis("r", 0.5, 0.0, 4), _axis("nbar", 0.2, 0.0, 3)],
+            },
+            2,
+        ),
+        # an unknown split rejects the first point
+        (
+            {
+                "gw": {"x_total": 1.0, "split": "coherent"},
+                "detector": {"gamma_t": 0.1},
+                "sweep": [_axis("fraction_q", 0.1, 0.5, 3)],
+            },
+            1,
+        ),
+    ],
+    ids=["vacuum-first", "fraction_q-first", "cosh-overflow", "overflow-before-vacuum",
+         "vacuum-last", "unknown-split"],
+)
+def test_g2_grid_error_matches_per_point_path(tmp_path, capsys, raw, code):
+    # the first failing point in grid order decides the error, as point by point
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    expected = _g2_point_by_point(raw)
+    assert expected[0] == code
+    assert main(["g2", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (expected[1], "")
 
 
 def test_unknown_top_level_key_exit_code(tmp_path, capsys):
