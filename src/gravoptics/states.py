@@ -194,7 +194,7 @@ def _modulus(z) -> float:
 
 
 def _sinh_squared(x: float) -> float:
-    return math.sinh(x) ** 2
+    return math.sinh(x) ** 2  # pow, not a product: the bits n_quantum has always had
 
 
 def check_wave(alpha, r, theta, nbar) -> None:
