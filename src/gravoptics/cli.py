@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -297,15 +298,19 @@ class ScenarioConfig:
     def gw_params(self, overrides: dict, gamma_t: float) -> GwSignalParams:
         return self._wave(overrides, gamma_t, float, counting.scaled_params, GwSignalParams)
 
-    def gw_columns(self, columns: dict, size: int) -> tuple:
-        """Checked (alpha, r, theta, nbar) arrays over the ``size`` points of the grid columns."""
+    def gw_columns(self, columns: dict) -> tuple:
+        """Checked (alpha, r, theta, nbar) over the grid columns.
+
+        An unswept number stays a float, and each array keeps the broadcast
+        shape of the axes it depends on.
+        """
 
         def num(value):
-            return value if isinstance(value, np.ndarray) else np.full(size, float(value))
+            return value if isinstance(value, np.ndarray) else float(value)
 
         def checked(alpha, r, theta, nbar):
             check_wave(alpha, r, theta, nbar)
-            return alpha.astype(complex), r, theta, nbar
+            return alpha, r, theta, nbar
 
         def scaled(*args):
             return checked(*counting.scaled_state(*args))
@@ -349,9 +354,9 @@ def _unit_phasor(phase: float) -> complex:
 
 def _complex(re, im):
     """complex(re, im) of scalars or arrays; re + 1j * im would lose the sign of a zero re."""
-    if not isinstance(re, np.ndarray):
+    if not isinstance(re, np.ndarray) and not isinstance(im, np.ndarray):
         return complex(re, im)
-    out = np.empty(re.shape, complex)
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
     out.real, out.imag = re, im
     return out
 
@@ -381,10 +386,35 @@ def _axis_values(axis: dict) -> np.ndarray:
 
 
 def _grid(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
-    """The sweep as flat columns by parameter, first axis slowest ({} without a sweep)."""
-    names = [axis["parameter"] for axis in cfg.sweep]
-    mesh = np.meshgrid(*(_axis_values(axis) for axis in cfg.sweep), indexing="ij")
-    return {name: values.ravel() for name, values in zip(names, mesh)}
+    """The sweep axes by parameter, in broadcast shape ({} without a sweep).
+
+    Axis i has shape (1, ..., steps_i, ..., 1), so the axes broadcast to the
+    grid with the first axis slowest.
+    """
+    ndim = len(cfg.sweep)
+    return {
+        axis["parameter"]: _axis_values(axis).reshape([-1 if j == i else 1 for j in range(ndim)])
+        for i, axis in enumerate(cfg.sweep)
+    }
+
+
+def _flat(columns: dict) -> dict[str, np.ndarray]:
+    """The grid columns broadcast to the whole grid, flat in grid order."""
+    shape = np.broadcast_shapes(*(values.shape for values in columns.values()))
+    return {name: np.broadcast_to(values, shape).ravel() for name, values in columns.items()}
+
+
+@dataclass
+class GridRows:
+    """Table rows over a grid: the axis values, then one column per grid point in grid order."""
+
+    axes: list[np.ndarray]
+    columns: list[np.ndarray]
+
+    def __iter__(self):
+        points = itertools.product(*(axis.tolist() for axis in self.axes))
+        cells = zip(*(column.tolist() for column in self.columns))
+        return (point + row for point, row in zip(points, cells))
 
 
 def _cell(kind: type) -> str:
@@ -393,20 +423,35 @@ def _cell(kind: type) -> str:
     return "%.0s" if kind is type(None) else "%s"  # None, an undefined value, prints empty
 
 
-def _emit(header: list[str], rows: list, out, fmt: str) -> None:
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-        return
-    formats: dict[tuple, str] = {}  # one %-format per row shape
-    lines = [",".join(header) + "\n"]
+def _grid_lines(rows: GridRows) -> str:
+    """CSV lines of a grid table, each axis value formatted once and repeated over the grid."""
+    texts = [["%.17g," % x for x in axis.tolist()] for axis in rows.axes]
+    cells = [column.tolist() for column in rows.columns]
+    line = "%s" + ",".join(_cell(type(column[0])) for column in cells) + "\n"
+    points = map("".join, itertools.product(*texts))
+    return (line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(points, *cells)))
+
+
+def _row_lines(rows: list) -> str:
+    """CSV lines of a list of rows, with one %-format string per row shape."""
+    formats: dict[tuple, str] = {}
+    lines = []
     for row in rows:
         shape = tuple(map(type, row))
         line = formats.get(shape)
         if line is None:
             line = formats[shape] = ",".join(map(_cell, shape)) + "\n"
         lines.append(line % tuple(row))
-    out.write("".join(lines))
+    return "".join(lines)
+
+
+def _emit(header: list[str], rows: list | GridRows, out, fmt: str) -> None:
+    if fmt == "json":
+        payload = [dict(zip(header, row)) for row in rows]
+        out.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+        return
+    body = _grid_lines(rows) if isinstance(rows, GridRows) else _row_lines(rows)
+    out.write(",".join(header) + "\n" + body)
 
 
 # ----------------------------------------------------------------------------
@@ -415,7 +460,7 @@ def _emit(header: list[str], rows: list, out, fmt: str) -> None:
 
 def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
     n_max = int(cfg.extra.get("n_max", 3))
-    columns = _grid(cfg)
+    columns = _flat(_grid(cfg))
     header = [*columns, "n", "p_n", "p_n_coherent", "delta_ratio"]
     rows = []
     for coords in list(zip(*columns.values())) or [()]:
@@ -427,19 +472,20 @@ def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _g2_minus_1(cfg: ScenarioConfig, columns: dict, size: int) -> np.ndarray:
-    """g2 - 1 at every grid point, in one array pass.
+def _g2_minus_1(cfg: ScenarioConfig, columns: dict) -> np.ndarray:
+    """g2 - 1 over the grid columns, in one array pass, in their broadcast shape.
 
     A per-point loop stops at the first point that is rejected or has no g2.
-    When a check rejects point k, the points before k are evaluated again, so
-    that an undefined g2 among them comes first, as it would in that loop.
+    When a check rejects point k, the points before k are evaluated again as
+    flat columns, so that an undefined g2 among them comes first, as it would
+    in that loop.
     """
     try:
-        state = cfg.gw_columns(columns, size)
+        state = cfg.gw_columns(columns)
     except ConfigError as exc:
         point = getattr(exc.__cause__, "point", 0)
         if point:
-            _g2_minus_1(cfg, {k: v[:point] for k, v in columns.items()}, point)
+            _g2_minus_1(cfg, {k: v[:point] for k, v in _flat(columns).items()})
         raise
     g2_minus_1 = wick_g2_minus_1(detector_scalars(*state))
     if not np.isfinite(g2_minus_1).all():
@@ -447,7 +493,7 @@ def _g2_minus_1(cfg: ScenarioConfig, columns: dict, size: int) -> np.ndarray:
     return g2_minus_1
 
 
-def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[tuple]]:
+def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], GridRows]:
     sweep_names = [axis["parameter"] for axis in cfg.sweep]
     if not cfg.scaled and "gamma_t" in sweep_names:
         raise ConfigError(
@@ -457,13 +503,14 @@ def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], list[tuple]]:
     if cfg.scaled and not (cfg.detector or "gamma_t" in sweep_names):
         raise ConfigError("g2: the scaled parameterization needs detector.gamma_t")
     columns = _grid(cfg)
-    size = math.prod(int(axis["steps"]) for axis in cfg.sweep)
     with np.errstate(all="ignore"):  # an overflow is a rejected point, not a warning
-        g2_minus_1 = _g2_minus_1(cfg, columns, size)
+        g2_minus_1 = _g2_minus_1(cfg, columns)
+    shape = [int(axis["steps"]) for axis in cfg.sweep]
+    g2_minus_1 = np.broadcast_to(g2_minus_1, shape).ravel()
     g2 = 1.0 + g2_minus_1
     header = sweep_names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
-    table = [*columns.values(), g2, g2_minus_1, g2_minus_1 - 1.0, (g2 > 2.0).astype(int)]
-    return header, list(zip(*(column.tolist() for column in table)))
+    axes = [values.ravel() for values in columns.values()]
+    return header, GridRows(axes, [g2, g2_minus_1, g2_minus_1 - 1.0, (g2 > 2.0).astype(int)])
 
 
 def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:

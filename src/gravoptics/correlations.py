@@ -36,17 +36,18 @@ class G2Report:
 
 
 def wick_g2_minus_1(sc: DetectorScalars):
-    """g2 - 1 = excess / <n>^2 of scalars or of arrays over grid points.
+    """g2 - 1 = excess / <n>^2 of scalars or of arrays that broadcast to the grid.
 
     NaN where <n> vanishes or its square underflows; inf or NaN also mark an
     overflow, so only a finite value is a defined g2 - 1.
     """
     mean_n = sc.mean_n
     square = mean_n * mean_n
-    if isinstance(square, np.ndarray):
-        out = np.full(square.shape, math.nan)
-        return np.divide(sc.excess, square, out=out, where=(mean_n > 0.0) & (square != 0.0))
-    return sc.excess / square if mean_n > 0.0 and square != 0.0 else math.nan
+    excess = sc.excess
+    if isinstance(square, np.ndarray) or isinstance(excess, np.ndarray):
+        out = np.full(np.broadcast_shapes(np.shape(excess), np.shape(square)), math.nan)
+        return np.divide(excess, square, out=out, where=(mean_n > 0.0) & (square != 0.0))
+    return excess / square if mean_n > 0.0 and square != 0.0 else math.nan
 
 
 def _wick_g2(sc: DetectorScalars, params: dict, undefined: str) -> G2Report:

@@ -400,10 +400,6 @@ def delta_p1_coherent_dominated(
     return 0.5 * n_grav * bracket * g2 * g2 * math.exp(-n_grav * g2)
 
 
-def _sqrt_clamped(x: float) -> float:
-    return math.sqrt(max(x, 0.0))
-
-
 def _asinh_sqrt(x: float) -> float:
     return math.asinh(math.sqrt(x))
 
@@ -412,8 +408,11 @@ def scaled_state(x_total, fraction_q, split: str, gamma_t):
     """(alpha, r, theta, nbar) realizing n_grav (gamma_t)^2 = x_total at a given n_q split.
 
     ``split`` is "thermal" (nbar = n_q, r = 0) or "squeezed"
-    (sinh^2 r = n_q, nbar = 0).  The numbers are scalars, or equal-length
-    arrays over grid points (see ``states.raise_first_failure``).
+    (sinh^2 r = n_q, nbar = 0).  Each number is a scalar or an array that
+    broadcasts to the grid (see ``states.raise_first_failure``); r and theta
+    of the thermal split and theta and nbar of the squeezed one are 0.0.
+    The displacement sqrt(n_grav - n_q) is real, and numpy's sqrt is correctly
+    rounded like math.sqrt.
     """
     messages = (
         "fraction_q must lie in [0, 1]",
@@ -431,12 +430,11 @@ def scaled_state(x_total, fraction_q, split: str, gamma_t):
     raise_first_failure(ok, lambda k, i: messages[k].format(entry(gamma_t, i)))
     n_grav = x_total / (gamma_t * gamma_t)
     n_q = fraction_q * n_grav
-    alpha = each(_sqrt_clamped, n_grav - n_q)
-    zero = np.zeros_like(n_q) if isinstance(n_q, np.ndarray) else 0.0
+    alpha = np.sqrt(np.maximum(n_grav - n_q, 0.0))
     if split == "thermal":
-        return alpha, zero, zero, n_q
+        return alpha, 0.0, 0.0, n_q
     if split == "squeezed":
-        return alpha, each(_asinh_sqrt, n_q), zero, zero
+        return alpha, each(_asinh_sqrt, n_q), 0.0, 0.0
     raise ValueError(f"unknown split {split!r}")
 
 

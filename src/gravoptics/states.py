@@ -151,23 +151,33 @@ def raise_first_failure(ok: list, message) -> None:
     """Raise the first failing check of the first failing point, as a per-point loop would.
 
     ``ok`` holds one flag per check, in the order one state is checked: a
-    bool for one state, or a bool array over grid points.  ``message(k, i)``
-    words check k failing at point i (None for one state).
+    bool for one state, or bools and bool arrays that broadcast to the grid.
+    The grid is searched in C order, which is grid order.  ``message(k, i)``
+    words check k failing at the grid index i (None for one state).
     """
-    if not isinstance(ok[0], np.ndarray):
+    if not any(isinstance(flag, np.ndarray) for flag in ok):
         if not all(ok):
             raise PointError(message(ok.index(False), None))
         return
-    size = ok[0].size
-    first = [size if flag.all() else int(flag.argmin()) for flag in ok]
+    shape = np.broadcast_shapes(*map(np.shape, ok))
+    size = math.prod(shape)
+    first = [size if np.all(flag) else int(np.broadcast_to(flag, shape).argmin()) for flag in ok]
     point = min(first)
     if point < size:
-        raise PointError(message(first.index(point), point), point)
+        raise PointError(message(first.index(point), np.unravel_index(point, shape)), point)
 
 
-def entry(x, i: int | None):
-    """Entry i of an array as a Python number, or a scalar itself (i is None)."""
-    return x if i is None else x[i].item()
+def entry(x, i: tuple | None):
+    """The value of x at grid index i as a Python number, or x itself (i is None).
+
+    x is a scalar or an array that broadcasts to the grid; a scalar is the
+    same at every point.
+    """
+    if i is None:
+        return x
+    x = np.asarray(x)
+    index = i[len(i) - x.ndim :]
+    return x[tuple(k if n > 1 else 0 for k, n in zip(index, x.shape))].item()
 
 
 def each(fn, x, dtype=float):
@@ -175,10 +185,10 @@ def each(fn, x, dtype=float):
 
     numpy's exp, expm1, sinh, cosh and arcsinh loops round differently from
     libm on some inputs, so array paths take their transcendentals from
-    ``math`` and give the bits of the scalar path.
+    ``math`` and give the bits of the scalar path.  An array keeps its shape.
     """
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), dtype, x.size)
+        return np.fromiter(map(fn, x.ravel().tolist()), dtype, x.size).reshape(x.shape)
     return fn(x)
 
 
@@ -189,22 +199,50 @@ def _cosh_or_inf(x: float) -> float:
         return math.inf
 
 
-def _modulus(z) -> float:
+def _abs_complex(z) -> float:
     return abs(complex(z))  # a Python float, which overflows to inf without a numpy warning
+
+
+def _real_array(alpha) -> bool:
+    return isinstance(alpha, np.ndarray) and not np.iscomplexobj(alpha)
+
+
+def _modulus(alpha):
+    """|alpha|: np.abs of a real array, abs(complex) entry by entry otherwise.
+
+    np.abs of a complex array rounds differently from abs(complex) on some inputs.
+    """
+    return np.abs(alpha) if _real_array(alpha) else each(_abs_complex, alpha)
+
+
+def _phase(alpha):
+    """arg alpha: 0.0, or pi where the sign bit is set, for a real array (both exact).
+
+    A complex alpha goes through cmath.phase entry by entry, because np.angle
+    rounds differently from it on some inputs.
+    """
+    if not _real_array(alpha):
+        return each(cmath.phase, alpha)
+    negative = np.signbit(alpha)
+    return np.where(negative, math.pi, 0.0) if negative.any() else 0.0
 
 
 def _sinh_squared(x: float) -> float:
     return math.sinh(x) ** 2  # pow, not a product: the bits n_quantum has always had
 
 
+def _finite(x):
+    return np.isfinite(x) if isinstance(x, np.ndarray) else cmath.isfinite(x)
+
+
 def check_wave(alpha, r, theta, nbar) -> None:
     """Reject a wave state that is not finite, has r or nbar < 0, or overflows a kernel.
 
-    Takes the four parameters as scalars, or as equal-length arrays over grid
-    points (see ``raise_first_failure``).
+    Takes each parameter as a scalar or as an array that broadcasts to the
+    grid (see ``raise_first_failure``).
     """
     nu = (nbar + 0.5) * each(_cosh_or_inf, 2 * r)
-    mag = each(_modulus, alpha)
+    mag = _modulus(alpha)
     mean = mag * mag + nu - 0.5
     wave = (("alpha", alpha), ("r", r), ("theta", theta), ("nbar", nbar))
 
@@ -224,10 +262,9 @@ def check_wave(alpha, r, theta, nbar) -> None:
         # the Wick kernel squares <a†a>
         return f"|alpha| = {entry(mag, i)} overflows: |alpha|^2 and <a†a>^2 must be finite"
 
-    finite = np.isfinite if isinstance(r, np.ndarray) else cmath.isfinite
     # a NaN r or nbar fails its finiteness check before the sign checks
-    ok = [finite(alpha), finite(r), finite(theta), finite(nbar), r >= 0, nbar >= 0]
-    raise_first_failure(ok + [finite(nu * nu), finite(mean * mean)], message)
+    ok = [_finite(alpha), _finite(r), _finite(theta), _finite(nbar), r >= 0, nbar >= 0]
+    raise_first_failure(ok + [_finite(nu * nu), _finite(mean * mean)], message)
 
 
 class DetectorScalars(NamedTuple):
@@ -238,7 +275,7 @@ class DetectorScalars(NamedTuple):
     along the principal axes of the P-function covariance: b_plus = b2 sin^2 psi
     lies on the axis of variance (ntilde + m)/2 and b_minus = b2 cos^2 psi on
     that of d/2, with psi = theta/2 - arg beta for <da^2> = -m e^{i theta}.
-    Each field is a float, or an array over grid points.
+    Each field is a float, or an array that broadcasts to the grid.
     """
 
     b2: float
@@ -280,15 +317,16 @@ def detector_scalars(alpha, r, theta, nbar, gain=1.0, added=0.0) -> DetectorScal
 
     gain = sin^2 gamma_t is the detector after exchange evolution, gain = 1
     the wave mode itself.  d = gain (nbar e^{-2r} + expm1(-2r)/2) + added
-    needs no difference of the e^{2r}-sized ntilde and m.  Takes scalars, or
-    equal-length arrays over grid points of a checked state (``check_wave``)
-    with a complex alpha.
+    needs no difference of the e^{2r}-sized ntilde and m.  Takes each
+    parameter of a checked state (``check_wave``) as a scalar or as an array
+    that broadcasts to the grid, so a quantity of one axis is evaluated once
+    per axis value.
     """
-    mag = each(abs, alpha)
+    mag = _modulus(alpha)
     b2 = gain * (mag * mag)
     m = gain * ((nbar + 0.5) * each(math.sinh, 2 * r))
     d = gain * (nbar * each(math.exp, -2 * r) + 0.5 * each(math.expm1, -2 * r)) + added
-    psi = 0.5 * theta - each(cmath.phase, alpha)
+    psi = 0.5 * theta - _phase(alpha)
     return DetectorScalars.from_phase(b2, gain * _n_quantum(r, nbar) + added, m, d, psi)
 
 

@@ -156,12 +156,12 @@ class ReconstructionResult:
 
 
 def reconstruct_gaussian(
-    phase_sweep: list[tuple[float, float, float]],
+    phase_sweep: tuple[np.ndarray, np.ndarray, np.ndarray],
     gamma_t: float,
     beta_mag: float,
     dG0: float,
 ) -> ReconstructionResult:
-    """Fit (|alpha|, arg alpha, r, theta, nbar) from a phase sweep of (dG1, dG2).
+    """Fit (|alpha|, arg alpha, r, theta, nbar) from the (phi, dG1, dG2) columns of a phase sweep.
 
     dG2(phi) is pi-periodic and linear in (ntilde, S cos theta, S sin theta)
     with S = (nbar + 1/2) sinh 2r; dG1(phi) is 2 pi-periodic and linear in the
@@ -170,11 +170,9 @@ def reconstruct_gaussian(
     consistency residual.  Degenerate directions (r = 0 making theta
     meaningless, ntilde = |mu| making alpha unobservable) are flagged.
     """
-    if len(phase_sweep) < MIN_PHASES:
+    phis, dg1, dg2 = (np.asarray(column, dtype=float) for column in phase_sweep)
+    if len(phis) < MIN_PHASES:
         raise ValueError(f"need at least {MIN_PHASES} phases covering [0, 2 pi)")
-    phis = np.asarray([row[0] for row in phase_sweep], dtype=float)
-    dg1 = np.asarray([row[1] for row in phase_sweep], dtype=float)
-    dg2 = np.asarray([row[2] for row in phase_sweep], dtype=float)
     s, c = math.sin(gamma_t), math.cos(gamma_t)
     k1 = s**3 * c * beta_mag
     k2 = s**2 * c**2 * beta_mag**2
@@ -242,8 +240,8 @@ def simulate_phase_sweep(
     phis: np.ndarray,
     epsilon: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> list[tuple[float, float, float]]:
-    """Synthetic (phi, dG1, dG2) rows, optionally with drive-amplitude noise.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Synthetic (phi, dG1, dG2) columns, optionally with drive-amplitude noise.
 
     Noise model: each sample sees an independently perturbed drive amplitude
     beta (1 + xi) with xi ~ N(0, epsilon), matching the stated fluctuation
@@ -251,8 +249,8 @@ def simulate_phase_sweep(
     the drive |beta (1 + xi)| at phase phi + pi, which flips the sign of dG1
     and leaves dG2 unchanged.
 
-    The rows are evaluated as arrays over phis, in the operation order of
-    `delta_g2_terms`, so each row equals its per-phase value bit for bit.  The
+    The columns are evaluated as arrays over phis, in the operation order of
+    `delta_g2_terms`, so each entry equals its per-phase value bit for bit.  The
     noise is one draw of len(phis) normals, the same stream as one draw per
     phase.  Two spellings keep the rounding of the scalar path.  The real part
     of e^{-i phi} w is written out, because a complex array product may be
@@ -281,4 +279,4 @@ def simulate_phase_sweep(
         * (math.cosh(2 * p.r) - math.sinh(2 * p.r) * np.cos(p.theta - 2.0 * phase))
         - 0.5
     )
-    return list(zip(phis.tolist(), dg1.tolist(), dg2.tolist()))
+    return phis, dg1, dg2

@@ -434,7 +434,7 @@ UNDEFINED_G2 = "g2 undefined for the vacuum input at a sweep point"
 
 
 def _g2_point_by_point(raw: dict) -> tuple[int, str]:
-    """(exit code, CSV or stderr) of g2 replayed one point at a time.
+    """(exit code, CSV or JSON output, or stderr) of g2 replayed one point at a time.
 
     Each point goes through GwSignalParams and g2_ideal, in itertools.product
     order, and stops at the first point that is rejected or has no g2: the
@@ -447,7 +447,8 @@ def _g2_point_by_point(raw: dict) -> tuple[int, str]:
         lo, hi, steps = float(axis["min"]), float(axis["max"]), int(axis["steps"])
         space = np.geomspace if axis.get("scale") == "log" else np.linspace
         axes.append([lo] if steps == 1 else list(space(lo, hi, steps)))
-    lines = [",".join(names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"])]
+    header = names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
+    rows = []
     for point in itertools.product(*axes):
         overrides = dict(zip(names, point))
         gamma_t = cfg.gamma_t(overrides) if cfg.detector or "gamma_t" in overrides else 1.0
@@ -457,8 +458,12 @@ def _g2_point_by_point(raw: dict) -> tuple[int, str]:
             return 1, f"config error: {exc}\n"
         if report.g2 is None:
             return 2, f"numerical check failure: {UNDEFINED_G2}\n"
-        cells = [*point, report.g2, report.g2_minus_1, report.g2_minus_1 - 1.0]
-        lines.append(",".join(format(float(x), ".17g") for x in cells) + f",{int(report.g2 > 2.0)}")
+        cells = [float(x) for x in (*point, report.g2, report.g2_minus_1, report.g2_minus_1 - 1.0)]
+        rows.append([*cells, int(report.g2 > 2.0)])
+    if cfg.output.get("format") == "json":
+        return 0, json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    lines = [",".join(header)]
+    lines += [",".join(format(x, ".17g") for x in row[:-1]) + f",{row[-1]}" for row in rows]
     return 0, "\n".join(lines) + "\n"
 
 
@@ -504,9 +509,18 @@ CARTESIAN = {"alpha_re": -0.7, "alpha_im": 0.4, "r": 0.6, "theta": 4.0, "nbar": 
             "gw": {"x_total": 1.0, "fraction_q": 1e-6, "split": "squeezed"},
             "detector": {"gamma_t": 1e-3},
         },
+        # one axis: the imaginary part of a cartesian alpha, then theta alone
+        {"gw": CARTESIAN, "sweep": [_axis("alpha_im", -1.0, 1.0, 7)]},
+        {"gw": POLAR, "sweep": [_axis("theta", 0.0, 6.0, 11)]},
+        # JSON, whose axis cells stay numbers
+        {
+            "gw": POLAR,
+            "sweep": [_axis("r", 0.0, 1.0, 4), _axis("alpha_mag", 0.5, 2.0, 3)],
+            "output": {"format": "json"},
+        },
     ],
     ids=["polar", "polar-phases", "cartesian-physical", "thermal", "squeezed", "gamma_t-axis",
-         "polar-point", "squeezed-point"],
+         "polar-point", "squeezed-point", "alpha_im-axis", "theta-axis", "json"],
 )
 def test_g2_grid_matches_per_point_path(tmp_path, capsys, raw):
     # the array pass over the grid gives the bytes of the per-point path
@@ -515,7 +529,12 @@ def test_g2_grid_matches_per_point_path(tmp_path, capsys, raw):
     code, expected = _g2_point_by_point(raw)
     assert code == 0
     assert main(["g2", "--config", str(path)]) == 0
-    assert capsys.readouterr().out == expected
+    out = capsys.readouterr().out
+    assert out == expected
+    if raw.get("output", {}).get("format") == "json":
+        rows = json.loads(out)
+        assert len(rows) == math.prod(axis["steps"] for axis in raw["sweep"])
+        assert all(type(row[axis["parameter"]]) is float for row in rows for axis in raw["sweep"])
 
 
 @pytest.mark.parametrize(
@@ -566,9 +585,25 @@ def test_g2_grid_matches_per_point_path(tmp_path, capsys, raw):
             },
             1,
         ),
+        # only the second axis fails: nbar falls below 0 in the first row of r
+        (
+            {
+                "gw": {"alpha_mag": 1.0},
+                "sweep": [_axis("r", 0.1, 0.5, 3), _axis("nbar", 0.2, -0.2, 3)],
+            },
+            1,
+        ),
+        # the same with a vacuum point (r = 0, nbar = 0) before the negative nbar
+        (
+            {
+                "gw": {"alpha_mag": 0.0},
+                "sweep": [_axis("r", 0.0, 0.5, 3), _axis("nbar", 0.2, -0.2, 3)],
+            },
+            2,
+        ),
     ],
     ids=["vacuum-first", "fraction_q-first", "cosh-overflow", "overflow-before-vacuum",
-         "vacuum-last", "unknown-split"],
+         "vacuum-last", "unknown-split", "nbar-second-axis", "vacuum-before-nbar"],
 )
 def test_g2_grid_error_matches_per_point_path(tmp_path, capsys, raw, code):
     # the first failing point in grid order decides the error, as point by point
@@ -579,6 +614,45 @@ def test_g2_grid_error_matches_per_point_path(tmp_path, capsys, raw, code):
     assert main(["g2", "--config", str(path)]) == code
     captured = capsys.readouterr()
     assert (captured.err, captured.out) == (expected[1], "")
+
+
+def test_g2_grid_evaluates_each_axis_quantity_once_per_axis_value(tmp_path, monkeypatch):
+    # the grid stays in broadcast shape: a quantity of one axis is mapped over
+    # that axis alone, and an unswept one stays a scalar
+    from gravoptics import cli, counting, states
+
+    calls = []
+
+    def counted(fn, x, dtype=float):
+        calls.append((fn.__name__, np.size(x)))
+        return each(fn, x, dtype)
+
+    each = states.each
+    for module in (states, counting, cli):
+        monkeypatch.setattr(module, "each", counted)
+    path = tmp_path / "c.json"
+    sweep = [_axis("r", 0.0, 1.0, 30), _axis("nbar", 0.0, 2.0, 33)]
+    path.write_text(json.dumps({"gw": POLAR, "sweep": sweep}))
+    assert main(["g2", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+    assert calls and max(size for _, size in calls) <= 33, calls
+
+    calls.clear()
+    waves = []
+    scaled_state = counting.scaled_state
+
+    def recorded(*args):
+        waves.append(scaled_state(*args))
+        return waves[-1]
+
+    monkeypatch.setattr(counting, "scaled_state", recorded)
+    gw = {"x_total": 1.0, "split": "thermal"}
+    sweep = [_axis("fraction_q", 0.0, 0.9, 20), _axis("x_total", 0.3, 3.0, 10, "log")]
+    path.write_text(json.dumps({"gw": gw, "detector": {"gamma_t": 1e-9}, "sweep": sweep}))
+    assert main(["g2", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+    (alpha, r, theta, nbar), = waves
+    assert (type(r), type(theta)) == (float, float)
+    assert alpha.dtype == float and nbar.shape == (20, 10)
+    assert calls and all(size == 1 for _, size in calls), calls  # r and the phase stay scalars
 
 
 def test_unknown_top_level_key_exit_code(tmp_path, capsys):

@@ -196,7 +196,7 @@ def test_negative_drive_draw_is_a_phase_flip():
     p = GwSignalParams(alpha=np.exp(0.4j), r=0.5, theta=0.7, nbar=0.2)
     gt, beta, eps = 0.3, 2.0, 0.5
     phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-    rows = simulate_phase_sweep(p, beta, gt, phis, epsilon=eps, rng=np.random.default_rng(3))
+    rows = _rows(simulate_phase_sweep(p, beta, gt, phis, epsilon=eps, rng=np.random.default_rng(3)))
     rng = np.random.default_rng(3)
     drives = [beta * (1.0 + rng.normal(0.0, math.sqrt(eps))) for _ in phis]
     assert any(d < 0.0 for d in drives) and any(d >= 0.0 for d in drives)
@@ -207,6 +207,11 @@ def test_negative_drive_draw_is_a_phase_flip():
         else:
             assert abs(dg1 + terms.dG1) <= 1e-12 * abs(terms.dG1)
             assert abs(dg2 - terms.dG2) <= 1e-12 * abs(terms.dG2)
+
+
+def _rows(sweep):
+    """The (phi, dG1, dG2) columns of a sweep as rows of Python floats."""
+    return list(zip(*(column.tolist() for column in sweep)))
 
 
 def _per_phase_sweep(p, beta_mag, gt, phis, epsilon, rng):
@@ -238,11 +243,12 @@ def test_phase_sweep_matches_per_phase_terms():
         beta = draws.uniform(0.1, 4.0)
         for n in (8, 2048):
             phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-            rows = simulate_phase_sweep(p, beta, gt, phis)
+            rows = _rows(simulate_phase_sweep(p, beta, gt, phis))
             assert rows == _per_phase_sweep(p, beta, gt, phis, 0.0, None)
             for eps in (1e-3, 0.5):
                 seed = int(draws.integers(2**32))
-                rows = simulate_phase_sweep(p, beta, gt, phis, eps, np.random.default_rng(seed))
+                rng = np.random.default_rng(seed)
+                rows = _rows(simulate_phase_sweep(p, beta, gt, phis, eps, rng))
                 assert rows == _per_phase_sweep(p, beta, gt, phis, eps, np.random.default_rng(seed))
                 xi = np.random.default_rng(seed).normal(0.0, math.sqrt(eps), size=n)
                 flipped += int(np.count_nonzero(xi < -1.0))
@@ -256,7 +262,7 @@ def test_phase_sweep_edge_behaviour():
     with pytest.raises(ValueError):
         simulate_phase_sweep(p, -1.0, gt, phis)
     # with noise a negative beta_mag is accepted: each negative drive draw is a phase flip
-    rows = simulate_phase_sweep(p, -1.0, gt, phis, 0.5, np.random.default_rng(3))
+    rows = _rows(simulate_phase_sweep(p, -1.0, gt, phis, 0.5, np.random.default_rng(3)))
     assert rows == _per_phase_sweep(p, -1.0, gt, phis, 0.5, np.random.default_rng(3))
     # the stream advances by exactly one normal draw per phase
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
@@ -264,12 +270,14 @@ def test_phase_sweep_edge_behaviour():
     for _ in range(n):
         ref.normal(0.0, math.sqrt(1e-3))
     assert rng.normal() == ref.normal()
-    assert simulate_phase_sweep(p, 2.0, gt, phis.tolist()) == simulate_phase_sweep(p, 2.0, gt, phis)
+    assert _rows(simulate_phase_sweep(p, 2.0, gt, phis.tolist())) == _rows(
+        simulate_phase_sweep(p, 2.0, gt, phis)
+    )
 
 
 def test_reconstruction_needs_enough_phases():
     with pytest.raises(ValueError):
-        reconstruct_gaussian([(0.0, 0.0, 0.0)] * 7, 0.3, 1.0, 0.0)
+        reconstruct_gaussian((np.zeros(7),) * 3, 0.3, 1.0, 0.0)
 
 
 def test_assembled_total_super_poissonian_at_large_squeezing():
