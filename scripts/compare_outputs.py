@@ -3,13 +3,17 @@
     python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Each directory is a full checkout (for example made with ``git archive``).
-The script runs ``scripts/reproduce_figure_data.sh`` in both, with a
-``gravoptics`` command that runs the checkout's own ``src/``, and compares the
-two output directories with ``diff -r``.  It then runs every op and warm-up of
-``perfbench/workloads.sweeps_round`` for seeds 901-940 in-process, once as
-CSV and once as JSON, in one worker process per checkout, and names the first
-op whose exit code, output or stderr differ.  Exit status 0 means both checks
-found no difference.
+The script runs ``scripts/reproduce_figure_data.sh`` in both and compares the
+two output directories with ``diff -r``.  A ``gravoptics`` command that runs
+the checkout's own ``src/`` is put on PATH, because checkouts whose script
+predates running ``python3 -m gravoptics.cli`` itself call that command.  It
+then runs every op and warm-up of ``perfbench/workloads.sweeps_round`` for
+seeds 901-940 in-process, once as CSV and once as JSON, in one worker process
+per checkout.  Each swept ``probs`` and ``g2`` op also runs as a rejected-grid
+copy, whose first rejectable axis ends past its valid range (``PAST_RANGE``),
+so that the error a grid reports, and its order, are compared too.  The
+script names the first op whose exit code, output or stderr differ.  Exit
+status 0 means both checks found no difference.
 """
 
 from __future__ import annotations
@@ -28,26 +32,52 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(901, 941)
 FORMATS = ("csv", "json")
+# the end of a rejected-grid axis: past [0, 1], below 0, |alpha|^2 overflows
+PAST_RANGE = {"fraction_q": 1.5, "r": -0.5, "nbar": -0.5, "alpha_mag": 1e200}
 
 
-def run_ops(checkout: Path, work: Path) -> list[tuple[str, str, dict]]:
-    """(label, sha256 of exit code, stdout and stderr, config) of every op, in order."""
+def rejected(config: dict) -> dict | None:
+    """A copy of a swept config whose first rejectable axis ends at PAST_RANGE, or None."""
+    for i, axis in enumerate(config.get("sweep", [])):
+        if axis["parameter"] in PAST_RANGE:
+            sweep = list(config["sweep"])
+            sweep[i] = {**axis, "max": PAST_RANGE[axis["parameter"]]}
+            return {**config, "sweep": sweep}
+    return None
+
+
+def run_ops(checkout: Path, work: Path) -> list[tuple[str, str, dict, int]]:
+    """(label, sha256 of exit code, stdout and stderr, config, exit code) of every op, in order."""
     sys.path.insert(0, str(checkout / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from gravoptics import cli
 
-    ops = [("warm-up", op) for op in workloads.sweeps_warmup(work)]
-    for seed in SEEDS:
-        ops += [(f"seed {seed}", op) for op in workloads.sweeps_round(seed, work)]
-    results = []
-    for where, op in ops:
-        for fmt in FORMATS:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([*op.argv, "--format", fmt])
-            digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
-            results.append((f"{where} {op.key} {fmt}", digest.hexdigest(), op.config))
+    results: list[tuple[str, str, dict, int]] = []
+
+    def run(label: str, argv: list, config: dict) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
+        results.append((label, digest.hexdigest(), config, code))
+
+    def rounds():
+        # every round writes its configs under the same names, so each round
+        # is made only once the one before it has run
+        yield "warm-up", workloads.sweeps_warmup(work)
+        for seed in SEEDS:
+            yield f"seed {seed}", workloads.sweeps_round(seed, work)
+
+    for where, ops in rounds():
+        for op in ops:
+            for fmt in FORMATS:
+                run(f"{where} {op.key} {fmt}", [*op.argv, "--format", fmt], op.config)
+            config = rejected(op.config) if op.kind in ("probs", "g2") else None
+            if config is not None:
+                path = work / f"{op.key}-rejected.json"
+                path.write_text(json.dumps(config))
+                run(f"{where} {op.key} rejected", [op.kind, "--config", str(path)], config)
     return results
 
 
@@ -85,11 +115,16 @@ def compare_ops(sides: dict[str, Path], scratch: Path) -> bool:
         cmd = [sys.executable, "-B", __file__, "--worker", str(checkout), str(work)]
         proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
         results[name] = json.loads(proc.stdout)
-    for (label, parent, config), (_, change, _) in zip(results["parent"], results["change"]):
+    for (label, parent, config, _), (_, change, _, _) in zip(results["parent"], results["change"]):
         if parent != change:
             print(f"sweeps ops: first difference at {label}\nconfig: {json.dumps(config)}")
             return False
-    print(f"sweeps ops: identical ({len(results['parent'])} outputs, seeds 901-940)")
+    codes = [code for label, _, _, code in results["parent"] if label.endswith(" rejected")]
+    exits = ", ".join(f"{codes.count(c)} exit {c}" for c in sorted(set(codes)))
+    print(
+        f"sweeps ops: identical ({len(results['parent'])} outputs, seeds 901-940; "
+        f"{len(codes)} rejected grids: {exits})"
+    )
     return True
 
 

@@ -2,13 +2,16 @@
 # Regenerate the sweep data sets (CSV/JSON) from the checked-in configs.
 # Usage: scripts/reproduce_figure_data.sh [OUT_DIR]   (default: data/ in the repo)
 # Output is byte-identical across runs, so two checkouts can be compared with
-# diff -r on their output directories.
+# diff -r on their output directories.  The commands run this checkout's src/
+# with ${PYTHON:-python3}; no install is needed.
 set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 out="${1:-$root/data}"
 case "$out" in /*) ;; *) out="$PWD/$out" ;; esac
 cd "$root"
 mkdir -p "$out"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+gravoptics() { "${PYTHON:-python3}" -m gravoptics.cli "$@"; }
 
 gravoptics probs --config scripts/fig2_probs.json --out "$out/fraction_sweep_probs.csv"
 gravoptics g2 --config scripts/fig3_g2.json --out "$out/g2_grid.csv"

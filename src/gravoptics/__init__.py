@@ -13,7 +13,6 @@ from .counting import (
     poisson_pn,
     prob_n_generating,
     prob_n_hafnian,
-    scaled_params,
 )
 from .correlations import (
     G2Report,

@@ -16,6 +16,7 @@ reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -286,66 +287,45 @@ class ScenarioConfig:
                     f"(it reads {', '.join(reads)})"
                 )
 
-    def gamma_t(self, overrides: dict) -> float:
-        gamma_t = overrides.get("gamma_t", self.detector.get("gamma_t"))
-        if gamma_t is not None:
-            return float(gamma_t)
+    def gamma_t(self, columns: dict):
+        """gamma_t: its grid column, detector.gamma_t, or gamma_g t of a physical detector."""
+        if "gamma_t" in columns:
+            return columns["gamma_t"]
+        if "gamma_t" in self.detector:
+            return float(self.detector["gamma_t"])
         if self.physical is None:
             raise ConfigError("detector: gamma_t or a physical detector is required")
         _, _, t, gamma = self.physical
         return gamma * t
 
-    def gw_params(self, overrides: dict, gamma_t: float) -> GwSignalParams:
-        return self._wave(overrides, gamma_t, float, counting.scaled_params, GwSignalParams)
+    def wave(self, columns: dict) -> tuple:
+        """Checked (alpha, r, theta, nbar) of the gw section over grid columns ({} for one point).
 
-    def gw_columns(self, columns: dict) -> tuple:
-        """Checked (alpha, r, theta, nbar) over the grid columns.
-
-        An unswept number stays a float, and each array keeps the broadcast
-        shape of the axes it depends on.
+        A swept number is its column and an unswept one a float, so each
+        array keeps the broadcast shape of the axes it depends on.
         """
+        gw = {**self.gw, **{k: v for k, v in columns.items() if k != "gamma_t"}}
 
-        def num(value):
+        def num(key: str):
+            value = gw.get(key, 0.0)
             return value if isinstance(value, np.ndarray) else float(value)
 
-        def checked(alpha, r, theta, nbar):
-            check_wave(alpha, r, theta, nbar)
-            return alpha, r, theta, nbar
-
-        def scaled(*args):
-            return checked(*counting.scaled_state(*args))
-
-        gamma_t = columns.get("gamma_t")
-        if gamma_t is None:
-            # unused by direct state parameters, which fix g2 on their own
-            gamma_t = self.gamma_t({}) if self.detector else 1.0
-        return self._wave(columns, num(gamma_t), num, scaled, checked)
-
-    def _wave(self, overrides: dict, gamma_t, num, scaled, direct):
-        """The wave of the gw section under overrides, each number read by num.
-
-        scaled(x_total, fraction_q, split, gamma_t) or direct(alpha, r, theta,
-        nbar) builds it, whichever parameterization the config uses.
-        """
-        gw = {**self.gw, **{k: v for k, v in overrides.items() if k != "gamma_t"}}
-        try:
-            if self.scaled:
-                return scaled(
-                    num(gw["x_total"]),
-                    num(gw.get("fraction_q", 0.0)),
-                    str(gw.get("split", "thermal")),
-                    gamma_t,
-                )
-            mag = num(gw.get("alpha_mag", gw.get("alpha_re", 0.0)))
-            if "alpha_mag" in gw:
-                alpha = mag * each(_unit_phasor, num(gw.get("alpha_phase", 0.0)), complex)
-            else:
-                alpha = _complex(num(gw.get("alpha_re", 0.0)), num(gw.get("alpha_im", 0.0)))
-            return direct(
-                alpha, num(gw.get("r", 0.0)), num(gw.get("theta", 0.0)), num(gw.get("nbar", 0.0))
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"gw: {exc}") from exc
+        with np.errstate(all="ignore"):  # an overflow is a rejected point, not a warning
+            try:
+                if self.scaled:
+                    gamma_t = self.gamma_t(columns)
+                    split = str(gw.get("split", "thermal"))
+                    state = counting.scaled_state(num("x_total"), num("fraction_q"), split, gamma_t)
+                else:
+                    if "alpha_mag" in gw:
+                        alpha = num("alpha_mag") * each(_unit_phasor, num("alpha_phase"), complex)
+                    else:
+                        alpha = _complex(num("alpha_re"), num("alpha_im"))
+                    state = alpha, num("r"), num("theta"), num("nbar")
+                check_wave(*state)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"gw: {exc}") from exc
+        return state
 
 
 def _unit_phasor(phase: float) -> complex:
@@ -398,10 +378,29 @@ def _grid(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     }
 
 
-def _flat(columns: dict) -> dict[str, np.ndarray]:
-    """The grid columns broadcast to the whole grid, flat in grid order."""
-    shape = np.broadcast_shapes(*(values.shape for values in columns.values()))
-    return {name: np.broadcast_to(values, shape).ravel() for name, values in columns.items()}
+def _flat(values) -> list[np.ndarray]:
+    """Scalars and arrays broadcast to their common grid shape, each flat in grid order."""
+    shape = np.broadcast_shapes(*map(np.shape, values))
+    return [np.broadcast_to(x, shape).ravel() for x in values]
+
+
+def _over_grid(cfg: ScenarioConfig, columns: dict, evaluate):
+    """evaluate(columns, wave) of the checked wave over the grid columns.
+
+    A per-point loop stops at the first point that is rejected or fails.
+    When the check rejects point k, the points before k are evaluated first
+    as flat columns, so that a failure among them comes first, as it would
+    in that loop.
+    """
+    try:
+        wave = cfg.wave(columns)
+    except ConfigError as exc:
+        point = getattr(exc.__cause__, "point", 0)
+        if point:
+            before = [x[:point] for x in _flat(columns.values())]
+            _over_grid(cfg, dict(zip(columns, before)), evaluate)
+        raise
+    return evaluate(columns, wave)
 
 
 @dataclass
@@ -460,34 +459,26 @@ def _emit(header: list[str], rows: list | GridRows, out, fmt: str) -> None:
 
 def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
     n_max = int(cfg.extra.get("n_max", 3))
-    columns = _flat(_grid(cfg))
+
+    def rows(columns: dict, wave: tuple) -> list[list]:
+        """The rows of each grid point, in grid order."""
+        values = [*columns.values(), cfg.gamma_t(columns), *wave]
+        out = []
+        for *point, gamma_t, alpha, r, theta, nbar in zip(*(x.tolist() for x in _flat(values))):
+            for d in counting.delta_pn(GwSignalParams(alpha, r, theta, nbar), gamma_t, n_max):
+                out.append([*point, d.n, d.pn, d.pn_coherent, d.ratio])
+        return out
+
+    columns = _grid(cfg)
+    cfg.gamma_t(columns)  # a missing detector is reported before any wave
     header = [*columns, "n", "p_n", "p_n_coherent", "delta_ratio"]
-    rows = []
-    for coords in list(zip(*columns.values())) or [()]:
-        point = dict(zip(columns, coords))
-        gamma_t = cfg.gamma_t(point)
-        p = cfg.gw_params(point, gamma_t)
-        for d in counting.delta_pn(p, gamma_t, n_max):
-            rows.append([*coords, d.n, d.pn, d.pn_coherent, d.ratio])
-    return header, rows
+    return header, _over_grid(cfg, columns, rows)
 
 
-def _g2_minus_1(cfg: ScenarioConfig, columns: dict) -> np.ndarray:
-    """g2 - 1 over the grid columns, in one array pass, in their broadcast shape.
-
-    A per-point loop stops at the first point that is rejected or has no g2.
-    When a check rejects point k, the points before k are evaluated again as
-    flat columns, so that an undefined g2 among them comes first, as it would
-    in that loop.
-    """
-    try:
-        state = cfg.gw_columns(columns)
-    except ConfigError as exc:
-        point = getattr(exc.__cause__, "point", 0)
-        if point:
-            _g2_minus_1(cfg, {k: v[:point] for k, v in _flat(columns).items()})
-        raise
-    g2_minus_1 = wick_g2_minus_1(detector_scalars(*state))
+def _g2_minus_1(columns: dict, wave: tuple) -> np.ndarray:
+    """g2 - 1 of a checked wave in one array pass, in its broadcast shape."""
+    with np.errstate(all="ignore"):  # the vacuum's 0 / 0 is a failure, not a warning
+        g2_minus_1 = wick_g2_minus_1(detector_scalars(*wave))
     if not np.isfinite(g2_minus_1).all():
         raise ValueError("g2 undefined for the vacuum input at a sweep point")
     return g2_minus_1
@@ -503,8 +494,7 @@ def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], GridRows]:
     if cfg.scaled and not (cfg.detector or "gamma_t" in sweep_names):
         raise ConfigError("g2: the scaled parameterization needs detector.gamma_t")
     columns = _grid(cfg)
-    with np.errstate(all="ignore"):  # an overflow is a rejected point, not a warning
-        g2_minus_1 = _g2_minus_1(cfg, columns)
+    g2_minus_1 = _over_grid(cfg, columns, _g2_minus_1)
     shape = [int(axis["steps"]) for axis in cfg.sweep]
     g2_minus_1 = np.broadcast_to(g2_minus_1, shape).ravel()
     g2 = 1.0 + g2_minus_1
@@ -565,7 +555,7 @@ def cmd_tomo(cfg: ScenarioConfig, args) -> dict:
     if cfg.sweep:
         raise ConfigError("sweep: tomo runs one round trip and reads no sweep axes")
     gamma_t = cfg.gamma_t({})
-    p = cfg.gw_params({}, gamma_t)
+    p = GwSignalParams(*cfg.wave({}))
     beta_mag = float(cfg.extra.get("beta_mag", 2.0))
     n_phases = int(cfg.extra.get("phases", 16))
     epsilon = float(cfg.noise.get("epsilon", 0.0))
@@ -844,32 +834,21 @@ def main(argv: list[str] | None = None) -> int:
         fmt = args.format or cfg.output.get("format", "csv")
         out_path = args.out or cfg.output.get("path")
 
+        ok = True
         if args.command == "tomo":
-            payload = cmd_tomo(cfg, args)
-            text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-            if out_path:
-                Path(out_path).write_text(text)
-            else:
-                sys.stdout.write(text)
-            return EXIT_OK
-
-        if args.command == "oracle-check":
+            text = json.dumps(cmd_tomo(cfg, args), indent=2, sort_keys=False) + "\n"
+        elif args.command == "oracle-check":
             header, rows, ok = cmd_oracle_check(cfg, args)
-        elif args.command == "probs":
-            header, rows = cmd_probs(cfg, args)
-            ok = True
-        elif args.command == "g2":
-            header, rows = cmd_g2(cfg, args)
-            ok = True
         else:
-            header, rows = cmd_physical(cfg, args)
-            ok = True
+            command = {"probs": cmd_probs, "g2": cmd_g2, "physical": cmd_physical}[args.command]
+            header, rows = command(cfg, args)
 
-        if out_path:
-            with open(out_path, "w") as fh:
-                _emit(header, rows, fh, fmt)
-        else:
-            _emit(header, rows, sys.stdout, fmt)
+        # the output file is opened only once the command has succeeded
+        with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as out:
+            if args.command == "tomo":
+                out.write(text)
+            else:
+                _emit(header, rows, out, fmt)
         return EXIT_OK if ok else EXIT_NUMERICAL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -437,13 +437,3 @@ def scaled_state(x_total, fraction_q, split: str, gamma_t):
         return alpha, each(_asinh_sqrt, n_q), 0.0, 0.0
     raise ValueError(f"unknown split {split!r}")
 
-
-def scaled_params(
-    x_total: float, fraction_q: float, split: str, gamma_t: float
-) -> GwSignalParams:
-    """``scaled_state`` as wave parameters.
-
-    Keeps astrophysical sweeps conditioned: the caller never handles
-    n_grav ~ 1e35 displacements directly.
-    """
-    return GwSignalParams(*scaled_state(x_total, fraction_q, split, gamma_t))

@@ -27,7 +27,7 @@ from gravoptics.counting import (
     poisson_pn,
     prob_n_generating,
     prob_n_hafnian,
-    scaled_params,
+    scaled_state,
 )
 from gravoptics.dynamics import (
     OpenChannelParams,
@@ -186,7 +186,7 @@ def test_criterion_07_flux_landmark():
 
 def test_criterion_08_fig2_endpoints():
     gt = 0.1
-    p0 = scaled_params(1.0, 0.0, "squeezed", gt)
+    p0 = GwSignalParams(*scaled_state(1.0, 0.0, "squeezed", gt))
     endpoint = delta_pn(p0, gt, 1)[1]
     endpoint_ok = endpoint.ratio is not None and abs(endpoint.ratio) < 1e-10
 
@@ -194,7 +194,7 @@ def test_criterion_08_fig2_endpoints():
     gts = [0.2, 0.1, 0.05, 0.025, 0.0125]
     errs = []
     for g in gts:
-        p = scaled_params(x_total, fraction, "squeezed", g)
+        p = GwSignalParams(*scaled_state(x_total, fraction, "squeezed", g))
         exact = delta_pn(p, g, 1)[1].ratio
         n_grav = x_total / g**2
         errs.append(abs(exact - delta_p1_lowest_order(fraction * n_grav, n_grav, g)))

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gravoptics import counting
 from gravoptics.cli import ConfigError, ScenarioConfig, load_config, main
 from gravoptics.correlations import g2_ideal
-from gravoptics.counting import PN_MAX
+from gravoptics.counting import PN_MAX, scaled_state
+from gravoptics.states import GwSignalParams
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -433,12 +435,35 @@ def test_config_boundary_exit_code(tmp_path, capsys, change, key):
 UNDEFINED_G2 = "g2 undefined for the vacuum input at a sweep point"
 
 
-def _g2_point_by_point(raw: dict) -> tuple[int, str]:
-    """(exit code, CSV or JSON output, or stderr) of g2 replayed one point at a time.
+def _reference_wave(gw: dict, gamma_t) -> GwSignalParams:
+    """The wave of one point, spelled out from the config values alone.
 
-    Each point goes through GwSignalParams and g2_ideal, in itertools.product
-    order, and stops at the first point that is rejected or has no g2: the
-    per-point loop that the array pass of cmd_g2 replaced.
+    scaled_state for the scaled form, a polar or cartesian alpha otherwise:
+    a bug in ScenarioConfig.wave cannot pass both sides of a parity test.
+    """
+    if "x_total" in gw:
+        fraction_q, split = gw.get("fraction_q", 0.0), gw.get("split", "thermal")
+        return GwSignalParams(*scaled_state(gw["x_total"], fraction_q, split, gamma_t))
+    if "alpha_mag" in gw:
+        alpha = gw["alpha_mag"] * np.exp(1j * gw.get("alpha_phase", 0.0))
+    else:
+        alpha = complex(gw.get("alpha_re", 0.0), gw.get("alpha_im", 0.0))
+    return GwSignalParams(alpha, gw.get("r", 0.0), gw.get("theta", 0.0), gw.get("nbar", 0.0))
+
+
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+def _point_by_point(command: str, raw: dict) -> tuple[int, str]:
+    """(exit code, CSV or JSON output, or stderr) of probs or g2 replayed one point at a time.
+
+    Each point's wave is _reference_wave of the raw config values, in
+    itertools.product order, and the replay stops at the first point that is
+    rejected or fails: the per-point loop that the grid passes of cmd_probs
+    and cmd_g2 replaced.
     """
     cfg = ScenarioConfig.from_dict(raw)
     names = [axis["parameter"] for axis in cfg.sweep]
@@ -446,25 +471,38 @@ def _g2_point_by_point(raw: dict) -> tuple[int, str]:
     for axis in cfg.sweep:
         lo, hi, steps = float(axis["min"]), float(axis["max"]), int(axis["steps"])
         space = np.geomspace if axis.get("scale") == "log" else np.linspace
-        axes.append([lo] if steps == 1 else list(space(lo, hi, steps)))
-    header = names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
+        axes.append([lo] if steps == 1 else space(lo, hi, steps).tolist())
+    if command == "probs":
+        header = names + ["n", "p_n", "p_n_coherent", "delta_ratio"]
+    else:
+        header = names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
     rows = []
     for point in itertools.product(*axes):
-        overrides = dict(zip(names, point))
-        gamma_t = cfg.gamma_t(overrides) if cfg.detector or "gamma_t" in overrides else 1.0
+        gw = {**raw.get("gw", {}), **dict(zip(names, point))}
+        gamma_t = gw.pop("gamma_t", None)
         try:
-            report = g2_ideal(cfg.gw_params(overrides, gamma_t))
+            if gamma_t is None and (command == "probs" or "x_total" in gw):
+                gamma_t = cfg.gamma_t({})
+            p = _reference_wave(gw, gamma_t)
         except ConfigError as exc:
             return 1, f"config error: {exc}\n"
+        except ValueError as exc:
+            return 1, f"config error: gw: {exc}\n"
+        if command == "probs":
+            try:
+                table = counting.delta_pn(p, gamma_t, int(raw.get("n_max", 3)))
+            except ValueError as exc:
+                return 2, f"numerical check failure: {exc}\n"
+            rows += [[*point, d.n, d.pn, d.pn_coherent, d.ratio] for d in table]
+            continue
+        report = g2_ideal(p)
         if report.g2 is None:
             return 2, f"numerical check failure: {UNDEFINED_G2}\n"
-        cells = [float(x) for x in (*point, report.g2, report.g2_minus_1, report.g2_minus_1 - 1.0)]
-        rows.append([*cells, int(report.g2 > 2.0)])
+        g2_minus_1 = report.g2_minus_1
+        rows.append([*point, report.g2, g2_minus_1, g2_minus_1 - 1.0, int(report.g2 > 2.0)])
     if cfg.output.get("format") == "json":
         return 0, json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-    lines = [",".join(header)]
-    lines += [",".join(format(x, ".17g") for x in row[:-1]) + f",{row[-1]}" for row in rows]
-    return 0, "\n".join(lines) + "\n"
+    return 0, "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
 
 
 def _axis(name: str, lo: float, hi: float, steps: int, scale: str = "lin") -> dict:
@@ -526,7 +564,7 @@ def test_g2_grid_matches_per_point_path(tmp_path, capsys, raw):
     # the array pass over the grid gives the bytes of the per-point path
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
-    code, expected = _g2_point_by_point(raw)
+    code, expected = _point_by_point("g2", raw)
     assert code == 0
     assert main(["g2", "--config", str(path)]) == 0
     out = capsys.readouterr().out
@@ -609,9 +647,158 @@ def test_g2_grid_error_matches_per_point_path(tmp_path, capsys, raw, code):
     # the first failing point in grid order decides the error, as point by point
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
-    expected = _g2_point_by_point(raw)
+    expected = _point_by_point("g2", raw)
     assert expected[0] == code
     assert main(["g2", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (expected[1], "")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # direct polar: r from 0 and a log nbar axis, then alpha_phase and theta
+        {
+            "gw": POLAR,
+            "detector": {"gamma_t": 0.7},
+            "sweep": [_axis("r", 0.0, 1.2, 4), _axis("nbar", 1e-3, 2.0, 3, "log")],
+        },
+        {
+            "gw": POLAR,
+            "detector": {"gamma_t": 0.4},
+            "sweep": [_axis("alpha_phase", -3.0, 3.0, 4), _axis("theta", 0.0, 6.2, 3)],
+            "n_max": 5,
+        },
+        # direct cartesian with a physical detector, a 1-step second axis
+        {
+            "gw": CARTESIAN,
+            "detector": {**WEBER, "t": 1e-3},
+            "sweep": [_axis("alpha_re", -2.0, 2.0, 5), _axis("alpha_im", 0.0, 1.0, 1)],
+        },
+        # scaled, fraction_q from 0, thermal and squeezed
+        {
+            "gw": {"x_total": 1.0, "split": "thermal"},
+            "detector": {"gamma_t": 1e-3},
+            "sweep": [_axis("fraction_q", 0.0, 0.9, 4), _axis("x_total", 0.3, 3.0, 3, "log")],
+        },
+        {
+            "gw": {"x_total": 1.0, "split": "squeezed"},
+            "detector": {"gamma_t": 1e-17},
+            "sweep": [_axis("fraction_q", 1e-3, 0.9, 5, "log")],
+            "n_max": 4,
+        },
+        # gamma_t axes of the scaled and the direct parameterization
+        {
+            "gw": {"x_total": 2.0, "fraction_q": 0.3, "split": "squeezed"},
+            "sweep": [_axis("gamma_t", 1e-6, 1.4, 4, "log"), _axis("fraction_q", 0.2, 0.2, 1)],
+        },
+        {"gw": CARTESIAN, "sweep": [_axis("gamma_t", 0.1, 1.4, 3), _axis("r", 0.0, 0.8, 3)]},
+        # no sweep
+        {**DESK_PROBS, "n_max": 6},
+        {
+            "gw": {"x_total": 1.0, "fraction_q": 1e-6, "split": "squeezed"},
+            "detector": {"gamma_t": 1e-3},
+        },
+        # JSON, whose axis cells stay numbers
+        {
+            "gw": POLAR,
+            "detector": {"gamma_t": 0.3},
+            "sweep": [_axis("r", 0.0, 1.0, 3), _axis("alpha_mag", 0.5, 2.0, 2)],
+            "output": {"format": "json"},
+        },
+    ],
+    ids=["polar", "polar-phases", "cartesian-physical", "thermal", "squeezed", "gamma_t-axis",
+         "gamma_t-axis-direct", "polar-point", "squeezed-point", "json"],
+)
+def test_probs_grid_matches_per_point_path(tmp_path, capsys, raw):
+    # the checked grid gives the bytes of the per-point path
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    code, expected = _point_by_point("probs", raw)
+    assert code == 0
+    assert main(["probs", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _failing_delta_pn(nbar: float):
+    """counting.delta_pn that raises as a non-finite P_n would at a wave of the given nbar."""
+    real = counting.delta_pn
+
+    def delta_pn(p, gamma_t, n_max):
+        if p.nbar == nbar:
+            raise ValueError(f"P_1 = nan is non-finite at nbar = {nbar}")
+        return real(p, gamma_t, n_max)
+
+    return delta_pn
+
+
+@pytest.mark.parametrize(
+    ("raw", "fail_at", "code"),
+    [
+        # delta_pn fails at nbar = 0, the point before a negative nbar
+        (
+            {**DESK_PROBS, "sweep": [_axis("r", 0.1, 0.5, 3), _axis("nbar", 0.2, -0.2, 3)]},
+            0.0,
+            2,
+        ),
+        # the same points in the reverse order: the negative nbar comes first
+        (
+            {**DESK_PROBS, "sweep": [_axis("r", 0.1, 0.5, 3), _axis("nbar", -0.2, 0.2, 3)]},
+            0.0,
+            1,
+        ),
+        # delta_pn fails in the first row, r falls below 0 in the third
+        (
+            {**DESK_PROBS, "sweep": [_axis("r", 0.1, -0.1, 3), _axis("nbar", 0.3, 0.5, 2)]},
+            0.5,
+            2,
+        ),
+        # fraction_q passes 1 at the third point, with no failing delta_pn
+        (
+            {
+                "gw": {"x_total": 1.0, "split": "thermal"},
+                "detector": {"gamma_t": 0.1},
+                "sweep": [_axis("x_total", 0.5, 1.0, 2), _axis("fraction_q", 0.5, 1.5, 3)],
+            },
+            None,
+            1,
+        ),
+        # gamma_t^2 underflows at the last point of a gamma_t axis
+        (
+            {
+                "gw": {"x_total": 1.0, "fraction_q": 0.2, "split": "squeezed"},
+                "sweep": [_axis("gamma_t", 1e-3, 1e-200, 3, "log")],
+            },
+            None,
+            1,
+        ),
+        # cosh(2r) overflows from the second r on
+        ({**DESK_PROBS, "sweep": [_axis("r", 0.1, 400.0, 3)]}, None, 1),
+        # an unknown split rejects the first point
+        (
+            {
+                "gw": {"x_total": 1.0, "split": "coherent"},
+                "detector": {"gamma_t": 0.1},
+                "sweep": [_axis("fraction_q", 0.1, 0.5, 3)],
+            },
+            None,
+            1,
+        ),
+        # no detector: reported before the negative nbar of the first point
+        ({"gw": POLAR, "sweep": [_axis("nbar", -0.5, 0.5, 3)]}, None, 1),
+    ],
+    ids=["delta_pn-before-nbar", "nbar-before-delta_pn", "delta_pn-rows-before-r",
+         "fraction_q", "gamma_t-underflow", "cosh-overflow", "unknown-split", "no-detector"],
+)
+def test_probs_grid_error_matches_per_point_path(tmp_path, capsys, monkeypatch, raw, fail_at, code):
+    # the first failing point in grid order decides the error, as point by point
+    if fail_at is not None:
+        monkeypatch.setattr(counting, "delta_pn", _failing_delta_pn(fail_at))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    expected = _point_by_point("probs", raw)
+    assert expected[0] == code
+    assert main(["probs", "--config", str(path)]) == code
     captured = capsys.readouterr()
     assert (captured.err, captured.out) == (expected[1], "")
 

@@ -20,7 +20,7 @@ from gravoptics.counting import (
     rejected_p01_variant,
     prob_n_generating,
     prob_n_hafnian,
-    scaled_params,
+    scaled_state,
     aligned_closed_form_p01,
 )
 from gravoptics.states import GwSignalParams, make_gw_state, to_ladder
@@ -223,7 +223,7 @@ def test_finalize_probability_clamp_policy():
 
 
 def test_delta_pn_zero_for_coherent():
-    p = scaled_params(1.0, 0.0, "squeezed", 0.2)
+    p = GwSignalParams(*scaled_state(1.0, 0.0, "squeezed", 0.2))
     rows = delta_pn(p, 0.2, 3)
     assert [d.n for d in rows] == [0, 1, 2, 3]
     for d in rows:
@@ -245,7 +245,7 @@ def test_delta_p1_expansion_converges_at_second_order():
     gts = [0.2, 0.1, 0.05, 0.025, 0.0125]
     errs = []
     for gt in gts:
-        p = scaled_params(x_total, fraction, "squeezed", gt)
+        p = GwSignalParams(*scaled_state(x_total, fraction, "squeezed", gt))
         exact = delta_pn(p, gt, 1)[1].ratio
         n_grav = x_total / gt**2
         approx = delta_p1_lowest_order(fraction * n_grav, n_grav, gt)
@@ -259,12 +259,12 @@ def test_delta_p1_coherent_dominated_regime():
     # describes the thermal family and the anti-aligned squeezed family
     gt = 1e-3
     n_grav = 1.0 / gt**2
-    p_th = scaled_params(1.0, 1e-4, "thermal", gt)
+    p_th = GwSignalParams(*scaled_state(1.0, 1e-4, "thermal", gt))
     exact = delta_pn(p_th, gt, 1)[1].delta
     approx = delta_p1_coherent_dominated(p_th, n_grav, gt)
     assert abs(exact - approx) / abs(approx) < 1e-2
 
-    p_sq = scaled_params(1.0, 1e-4, "squeezed", gt)
+    p_sq = GwSignalParams(*scaled_state(1.0, 1e-4, "squeezed", gt))
     anti = GwSignalParams(alpha=p_sq.alpha, r=p_sq.r, theta=math.pi)
     exact = delta_pn(anti, gt, 1)[1].delta
     approx = delta_p1_coherent_dominated(anti, n_grav, gt)
@@ -275,8 +275,8 @@ def test_delta_p1_coherent_dominated_regime():
     assert 0.1 < abs(exact) / scaling < 10.0
     # Delta P_1 scales linearly in n_q across a decade of fractions
     anti2 = GwSignalParams(
-        alpha=scaled_params(1.0, 1e-3, "squeezed", gt).alpha,
-        r=scaled_params(1.0, 1e-3, "squeezed", gt).r,
+        alpha=GwSignalParams(*scaled_state(1.0, 1e-3, "squeezed", gt)).alpha,
+        r=GwSignalParams(*scaled_state(1.0, 1e-3, "squeezed", gt)).r,
         theta=math.pi,
     )
     ratio = delta_pn(anti2, gt, 1)[1].delta / exact
@@ -285,30 +285,30 @@ def test_delta_p1_coherent_dominated_regime():
 
 def test_scaled_params_splits():
     gt = 0.2
-    coh = scaled_params(1.0, 0.0, "thermal", gt)
+    coh = GwSignalParams(*scaled_state(1.0, 0.0, "thermal", gt))
     assert coh.r == 0.0 and coh.nbar == 0.0
     assert abs(abs(coh.alpha) ** 2 - 1.0 / gt**2) < 1e-6
 
-    th = scaled_params(1.0, 0.4, "thermal", gt)
+    th = GwSignalParams(*scaled_state(1.0, 0.4, "thermal", gt))
     assert th.r == 0.0
     assert abs(th.nbar - 0.4 / gt**2) < 1e-9  # mostly thermal: nbar = n_q
 
-    sq = scaled_params(1.0, 0.4, "squeezed", gt)
+    sq = GwSignalParams(*scaled_state(1.0, 0.4, "squeezed", gt))
     assert sq.nbar == 0.0
     assert abs(math.sinh(sq.r) ** 2 - 0.4 / gt**2) < 1e-6  # n_q = sinh^2 r
 
     with pytest.raises(ValueError):
-        scaled_params(1.0, 1.2, "thermal", gt)
+        GwSignalParams(*scaled_state(1.0, 1.2, "thermal", gt))
     with pytest.raises(ValueError):
-        scaled_params(1.0, 0.2, "other", gt)
+        GwSignalParams(*scaled_state(1.0, 0.2, "other", gt))
     with pytest.raises(ValueError):
-        scaled_params(1.0, 0.2, "thermal", 0.0)
+        GwSignalParams(*scaled_state(1.0, 0.2, "thermal", 0.0))
 
 
 def test_astrophysical_scale_pipeline_is_finite():
     # n_grav ~ 1e35 through the scaled route: every kernel stays conditioned
     gt = 1e-17
-    p = scaled_params(1.0, 0.01, "squeezed", gt)
+    p = GwSignalParams(*scaled_state(1.0, 0.01, "squeezed", gt))
     assert p.mean_occupation > 1e33
     p0, p1, p2 = closed_form_p012(p, gt)
     assert 0.0 < p0 < 1.0 and 0.0 < p1 < 1.0 and 0.0 < p2 < 1.0
