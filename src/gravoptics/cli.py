@@ -207,6 +207,10 @@ class ScenarioConfig:
                 _check_number(axis[key], f"sweep[{i}].{key}", ">" if scale == "log" else "")
             _check_integer(axis["steps"], f"sweep[{i}].steps", 1)
         self._check_parameterization()
+        for key, value in self.gw.items():
+            # a float is a number; check_wave rejects a non-finite one in grid order
+            if key != "split" and type(value) is not float:
+                _check_number(value, f"gw.{key}")
         self._check_extra()
         _check_keys(self.noise, "noise", NOISE_KEYS)
         if "epsilon" in self.noise:
@@ -381,7 +385,10 @@ def _grid(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
 def _flat(values) -> list[np.ndarray]:
     """Scalars and arrays broadcast to their common grid shape, each flat in grid order."""
     shape = np.broadcast_shapes(*map(np.shape, values))
-    return [np.broadcast_to(x, shape).ravel() for x in values]
+    return [
+        np.broadcast_to(x, shape).ravel() if isinstance(x, np.ndarray) else np.full(shape, x).ravel()
+        for x in values
+    ]
 
 
 def _over_grid(cfg: ScenarioConfig, columns: dict, evaluate):

@@ -161,7 +161,12 @@ def raise_first_failure(ok: list, message) -> None:
         return
     shape = np.broadcast_shapes(*map(np.shape, ok))
     size = math.prod(shape)
-    first = [size if np.all(flag) else int(np.broadcast_to(flag, shape).argmin()) for flag in ok]
+    first = [
+        (size if flag.all() else int(np.broadcast_to(flag, shape).argmin()))
+        if isinstance(flag, np.ndarray)
+        else (size if flag else 0)  # a bool holds at every point or at none
+        for flag in ok
+    ]
     point = min(first)
     if point < size:
         raise PointError(message(first.index(point), np.unravel_index(point, shape)), point)

@@ -367,7 +367,7 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
         ({"subcommand": "tomo", "beta_mag": 1e300}, "beta_mag"),
         ({"output": {"path": 3}}, "output.path"),
         ({"sweep": [3]}, "sweep[0]"),
-        ({"gw": {"alpha_mag": 1.0, "r": None}}, "gw"),
+        ({"gw": {"alpha_mag": 1.0, "r": None}}, "gw.r"),
         ({"subcommand": "tomo", "betas": [1, 1, 1, 2, 2]}, "betas"),
         # bad numbers outside gw
         ({"detector": {"gamma_t": "x"}}, "detector.gamma_t"),
@@ -420,6 +420,11 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
             {"gw": {"x_total": 1.0, "fraction_q": 0.1}, "detector": {"gamma_t": 1e-170}},
             "gw",
         ),
+        # gw values that are no JSON number, or an integer beyond float range
+        ({"gw": {"alpha_mag": 1.0, "r": "0.5"}}, "gw.r"),
+        ({"gw": {"alpha_mag": True}}, "gw.alpha_mag"),
+        ({"subcommand": "g2", "gw": {"x_total": 1.0, "fraction_q": "0.1"}}, "gw.fraction_q"),
+        ({"gw": {"alpha_mag": 10**400}}, "gw.alpha_mag"),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):
