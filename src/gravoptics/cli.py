@@ -383,12 +383,9 @@ def _grid(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
 
 
 def _flat(values) -> list[np.ndarray]:
-    """Scalars and arrays broadcast to their common grid shape, each flat in grid order."""
+    """Arrays broadcast to their common grid shape, each flat in grid order."""
     shape = np.broadcast_shapes(*map(np.shape, values))
-    return [
-        np.broadcast_to(x, shape).ravel() if isinstance(x, np.ndarray) else np.full(shape, x).ravel()
-        for x in values
-    ]
+    return [np.broadcast_to(x, shape).ravel() for x in values]
 
 
 def _over_grid(cfg: ScenarioConfig, columns: dict, evaluate):
@@ -429,11 +426,19 @@ def _cell(kind: type) -> str:
     return "%.0s" if kind is type(None) else "%s"  # None, an undefined value, prints empty
 
 
+def _column(column: np.ndarray) -> tuple[str, list]:
+    """The %-format of a grid column and its cells; floats mixed with None are formatted one by one."""
+    cells = column.tolist()
+    if column.dtype == object and None in cells:
+        return "%s", [_cell(type(x)) % x for x in cells]
+    return _cell(type(cells[0])), cells
+
+
 def _grid_lines(rows: GridRows) -> str:
     """CSV lines of a grid table, each axis value formatted once and repeated over the grid."""
     texts = [["%.17g," % x for x in axis.tolist()] for axis in rows.axes]
-    cells = [column.tolist() for column in rows.columns]
-    line = "%s" + ",".join(_cell(type(column[0])) for column in cells) + "\n"
+    formats, cells = zip(*map(_column, rows.columns))
+    line = "%s" + ",".join(formats) + "\n"
     points = map("".join, itertools.product(*texts))
     return (line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(points, *cells)))
 
@@ -464,22 +469,22 @@ def _emit(header: list[str], rows: list | GridRows, out, fmt: str) -> None:
 # subcommands
 
 
-def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
+def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], GridRows]:
     n_max = int(cfg.extra.get("n_max", 3))
 
-    def rows(columns: dict, wave: tuple) -> list[list]:
-        """The rows of each grid point, in grid order."""
-        values = [*columns.values(), cfg.gamma_t(columns), *wave]
-        out = []
-        for *point, gamma_t, alpha, r, theta, nbar in zip(*(x.tolist() for x in _flat(values))):
-            for d in counting.delta_pn(GwSignalParams(alpha, r, theta, nbar), gamma_t, n_max):
-                out.append([*point, d.n, d.pn, d.pn_coherent, d.ratio])
-        return out
+    def table(columns: dict, wave: tuple) -> counting.DeltaPn:
+        """P_n, P_{n,c} and their ratio of a checked wave, in one array pass."""
+        s = each(math.sin, cfg.gamma_t(columns))
+        return counting.delta_pn(detector_scalars(*wave, gain=s * s), n_max)
 
     columns = _grid(cfg)
     cfg.gamma_t(columns)  # a missing detector is reported before any wave
+    d = _over_grid(cfg, columns, table)
+    shape = [*(int(axis["steps"]) for axis in cfg.sweep), n_max + 1]
     header = [*columns, "n", "p_n", "p_n_coherent", "delta_ratio"]
-    return header, _over_grid(cfg, columns, rows)
+    axes = [*(values.ravel() for values in columns.values()), np.arange(n_max + 1)]
+    cells = [np.broadcast_to(x, shape).ravel() for x in (d.pn, d.pn_coherent, d.ratio)]
+    return header, GridRows(axes, cells)
 
 
 def _g2_minus_1(columns: dict, wave: tuple) -> np.ndarray:

@@ -7,11 +7,13 @@ Three independent routes to the same numbers, cross-checked in the tests:
 * the generating-function route: the power series of log G(u), G the number
   generating function, built from the shared detector scalars
   (``states.DetectorScalars``) and exponentiated by a recurrence, every
-  level up to the highest one asked for in O(n^2) scalar operations;
+  level up to the highest one asked for in O(n^2) scalar operations, for one
+  state or entry by entry over a grid;
 * loop-hafnian evaluation over partition enumeration (exact, n <= 8, at
   O(4^k k) cost), the cross-check route only.
 
-The production path, :func:`delta_pn`, uses the first two.
+The production path, :func:`delta_pn`, uses the second; the closed forms and
+the enumeration are cross-checks.
 
 Astrophysical inputs never pass through raw covariance matrices: the evolved
 detector moments are assembled from scalars, which keeps every kernel in
@@ -43,12 +45,22 @@ HAFNIAN_MAX_PAIRS = 8
 PN_MAX = 32  # bound of the cli's n_max; the log-G series to it takes ~0.15 ms
 
 
-def poisson_pn(mean: float, n: int) -> float:
-    """Poisson weight e^{-mu} mu^n / n!, evaluated in the log domain."""
-    if mean < 0:
+def poisson_pn(mean, n):
+    """Poisson weight e^{-mu} mu^n / n!, evaluated in the log domain.
+
+    ``mean`` and ``n`` are numbers, or arrays that broadcast together.  An
+    array result takes log, lgamma and exp from ``math`` entry by entry
+    (``states.each``), so each entry has the bits of the scalar call.
+    """
+    if np.any(mean < 0):
         raise ValueError("mean must be >= 0")
-    if n < 0:
+    if np.any(n < 0):
         raise ValueError("n must be >= 0")
+    if isinstance(mean, np.ndarray) or isinstance(n, np.ndarray):
+        zero = mean == 0.0
+        log_mean = each(math.log, np.where(zero, 1.0, mean))
+        value = each(math.exp, -mean + n * log_mean - each(math.lgamma, n + 1.0))
+        return np.where(zero, np.where(n == 0, 1.0, 0.0), value)
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
@@ -149,13 +161,21 @@ def loop_hafnian(b: NDArray[np.complex128]) -> complex:
     return rec((1 << n) - 1)
 
 
-def _finalize_probability(value: float, imag: float, context: str) -> float:
+def _probability_fault(value: float, imag: float) -> str | None:
+    """Why value + i imag is not a probability, or None."""
     if not (math.isfinite(value) and math.isfinite(imag)):
-        raise ValueError(f"{context}: non-finite probability {value} (imag {imag})")
+        return f"non-finite probability {value} (imag {imag})"
     if abs(imag) > 1e-8 * max(1.0, abs(value)):
-        raise ValueError(f"{context}: non-real probability (imag {imag:.3e})")
+        return f"non-real probability (imag {imag:.3e})"
     if value < -NEGATIVE_CLAMP:
-        raise ValueError(f"{context}: negative probability {value:.3e}")
+        return f"negative probability {value:.3e}"
+    return None
+
+
+def _finalize_probability(value: float, imag: float, context: str) -> float:
+    fault = _probability_fault(value, imag)
+    if fault is not None:
+        raise ValueError(f"{context}: {fault}")
     return max(value, 0.0)
 
 
@@ -177,7 +197,7 @@ def prob_n_hafnian(bar: LadderMoments, n: int) -> float:
     return _finalize_probability(value, cm.prefactor * lh.imag / math.factorial(n), f"P_{n}")
 
 
-def pn_series(sc: DetectorScalars, n_max: int) -> list[float]:
+def pn_series(sc: DetectorScalars, n_max: int) -> list:
     """P_0..P_{n_max} from the power series of log G(u), G(u) = sum_n P_n u^n.
 
     With sigma = 1 - u, G = D^{-1/2} exp(-N/D), where
@@ -192,22 +212,34 @@ def pn_series(sc: DetectorScalars, n_max: int) -> list[float]:
     for j >= 1: a few terms, none a difference of large numbers.  exp of the
     series is f_0 = exp(g_0), f_k = (1/k) sum_j j g_j f_{k-j} (Stanley,
     Enumerative Combinatorics 2, ch. 6), so an underflowed P_0 gives zero rows.
+
+    The fields of ``sc`` are floats, giving a list of floats, or arrays that
+    broadcast to a grid, giving one array per level.  An array entry has the
+    bits of the scalar call: the arithmetic is elementwise in the same order
+    (``sum`` adds left to right) and log1p and exp come from ``math``.  A
+    failing level raises at the first failing point in grid order, lowest n
+    first, as a loop of scalar calls would.
     """
     a = sc.ntilde + sc.m
     qa, qd = 1.0 + a, 1.0 + sc.d
     rho_a, rho_d = a / qa, sc.d / qd
     wa, wd = sc.b_plus / (qa * qa), sc.b_minus / (qd * qd)
-    g0 = -0.5 * (math.log1p(a) + math.log1p(sc.d)) - sc.b_plus / qa - sc.b_minus / qd
+    g0 = -0.5 * (each(math.log1p, a) + each(math.log1p, sc.d)) - sc.b_plus / qa - sc.b_minus / qd
     jg = [0.0]
     pa = pd = 1.0  # rho^(j - 1)
     for j in range(1, n_max + 1):
         jg.append(j * (wa * pa + wd * pd) + 0.5 * (pa * rho_a + pd * rho_d))
         pa *= rho_a
         pd *= rho_d
-    f = [math.exp(g0)]
+    f = [each(math.exp, g0)]
     for k in range(1, n_max + 1):
         f.append(sum(jg[j] * f[k - j] for j in range(1, k + 1)) / k)
-    return [_finalize_probability(value, 0.0, f"P_{n} (generating)") for n, value in enumerate(f)]
+    # the checks of _probability_fault at imag 0: finite, and not below -NEGATIVE_CLAMP
+    ok = [(abs(value) < math.inf) & (value >= -NEGATIVE_CLAMP) for value in f]
+    raise_first_failure(
+        ok, lambda n, i: f"P_{n} (generating): {_probability_fault(entry(f[n], i), 0.0)}"
+    )
+    return [np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0.0) for v in f]
 
 
 def _bar_scalars(bar: LadderMoments) -> DetectorScalars:
@@ -333,45 +365,36 @@ def rejected_p01_variant(p: GwSignalParams, gamma_t: float) -> tuple[float, floa
 
 @dataclass(frozen=True)
 class DeltaPn:
-    """Signed deviation of P_n from the equal-flux coherent reference."""
+    """P_n against the equal-flux coherent reference, n = 0..n_max along the last axis."""
 
-    n: int
-    pn: float
-    pn_coherent: float
-    delta: float
-    ratio: float | None  # delta / pn_coherent, None when the reference vanishes
-
-
-def _production_pn(p: GwSignalParams, gamma_t: float, n_max: int) -> list[float]:
-    """P_0..P_{n_max}: one closed-form call for n <= 2, one log-G series for n >= 3."""
-    probs = list(closed_form_p012(p, gamma_t))[: n_max + 1]
-    if n_max > 2:
-        s = math.sin(gamma_t)
-        probs += pn_series(p.detector_scalars(s * s), n_max)[3:]
-    return probs
+    pn: NDArray[np.float64]
+    pn_coherent: NDArray[np.float64]
+    delta: NDArray[np.float64]  # pn_coherent - pn
+    ratio: NDArray[np.object_]  # delta / pn_coherent, None where the reference vanishes
 
 
-def delta_pn(p: GwSignalParams, gamma_t: float, n_max: int) -> list[DeltaPn]:
+def delta_pn(sc: DetectorScalars, n_max: int) -> DeltaPn:
     """Delta P_n = P_{n,c} - P_n at fixed total flux, for n = 0..n_max.
 
-    The coherent reference carries the same mean occupation; when the input is
-    already coherent the reference is the same object, so the difference is
-    exactly zero.
+    ``sc`` are the detector's scalars after exchange evolution, floats for
+    one state or arrays that broadcast to a grid; each returned array has
+    their broadcast shape with n as a last axis.  P_n comes from the log-G
+    series (``pn_series``), which raises at the first failing P_n in grid
+    order.  The coherent reference carries the same mean count
+    lambda = b2 + ntilde, so P_{n,c} is the Poisson law of lambda.  Where the
+    input is coherent (ntilde = m = 0) the reference is P_n itself, so the
+    difference and the ratio are exactly zero.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if p.r == 0.0 and p.nbar == 0.0:
-        ref = p
-    else:
-        ref = GwSignalParams(alpha=math.sqrt(p.mean_occupation))
-    probs = _production_pn(p, gamma_t, n_max)
-    refs = probs if ref is p else _production_pn(ref, gamma_t, n_max)
-    rows = []
-    for n, (pn, pnc) in enumerate(zip(probs, refs)):
-        delta = pnc - pn
-        ratio = None if pnc == 0.0 else delta / pnc
-        rows.append(DeltaPn(n, pn, pnc, delta, ratio))
-    return rows
+    with np.errstate(all="ignore"):  # an overflow is a non-finite P_n, which pn_series reports
+        pn = np.stack(pn_series(sc, n_max), axis=-1)
+        poisson = poisson_pn(np.expand_dims(sc.mean_n, -1), np.arange(n_max + 1))
+        coherent = (sc.ntilde == 0.0) & (sc.m == 0.0)
+        pn_coherent = np.where(np.expand_dims(coherent, -1), pn, poisson)
+        delta = pn_coherent - pn
+        ratio = np.where(pn_coherent == 0.0, None, delta / pn_coherent)
+    return DeltaPn(pn, pn_coherent, delta, ratio)
 
 
 def delta_p1_lowest_order(n_q: float, n_grav: float, gamma_t: float) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravoptics import counting
+from gravoptics import cli, counting, states
 from gravoptics.cli import ConfigError, ScenarioConfig, load_config, main
 from gravoptics.correlations import g2_ideal
 from gravoptics.counting import PN_MAX, scaled_state
@@ -314,11 +314,13 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
     monkeypatch.setattr(counting, "pn_series", counted("series", counting.pn_series))
     monkeypatch.setattr(counting, "closed_form_p012", counted("closed", counting.closed_form_p012))
     path = tmp_path / "c.json"
-    for n_max, expected in ((7, {"series": 2, "closed": 2}), (2, {"series": 0, "closed": 2})):
+    # one series over the whole grid of an op, and no closed form
+    sweep = [_axis("r", 0.0, 1.0, 5), _axis("nbar", 0.0, 2.0, 4)]
+    for config in ({**DESK_PROBS, "n_max": 7}, {**DESK_PROBS, "n_max": 2, "sweep": sweep}):
         calls.update(series=0, closed=0)
-        path.write_text(json.dumps({**DESK_PROBS, "n_max": n_max}))
+        path.write_text(json.dumps(config))
         assert main(["probs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
-        assert calls == expected, n_max
+        assert calls == {"series": 1, "closed": 0}, config
 
 
 @pytest.mark.parametrize(
@@ -494,11 +496,19 @@ def _point_by_point(command: str, raw: dict) -> tuple[int, str]:
         except ValueError as exc:
             return 1, f"config error: gw: {exc}\n"
         if command == "probs":
+            # P_n from the point's own log-G series, P_{n,c} from the Poisson
+            # law of its mean count, the input itself where it is coherent
+            s = math.sin(gamma_t)
+            sc = p.detector_scalars(s * s)
+            n_max = int(raw.get("n_max", 3))
             try:
-                table = counting.delta_pn(p, gamma_t, int(raw.get("n_max", 3)))
+                probs = counting.pn_series(sc, n_max)
             except ValueError as exc:
                 return 2, f"numerical check failure: {exc}\n"
-            rows += [[*point, d.n, d.pn, d.pn_coherent, d.ratio] for d in table]
+            coherent = sc.ntilde == 0.0 and sc.m == 0.0
+            refs = probs if coherent else [counting.poisson_pn(sc.mean_n, n) for n in range(n_max + 1)]
+            for n, (pn, pnc) in enumerate(zip(probs, refs)):
+                rows.append([*point, n, pn, pnc, None if pnc == 0.0 else (pnc - pn) / pnc])
             continue
         report = g2_ideal(p)
         if report.g2 is None:
@@ -725,16 +735,47 @@ def test_probs_grid_matches_per_point_path(tmp_path, capsys, raw):
     assert capsys.readouterr().out == expected
 
 
-def _failing_delta_pn(nbar: float):
-    """counting.delta_pn that raises as a non-finite P_n would at a wave of the given nbar."""
-    real = counting.delta_pn
+def test_probs_grid_prints_undefined_ratios_as_empty_cells_and_nulls(tmp_path, capsys):
+    # P_{n,c} underflows from some |alpha| on: the ratio column mixes numbers
+    # with undefined cells, an empty CSV cell and a JSON null, never NaN
+    raw = {
+        "gw": {"alpha_mag": 1.0, "r": 0.3},
+        "detector": {"gamma_t": 0.3},
+        "sweep": [_axis("alpha_mag", 1.0, 1e30, 7, "log"), _axis("nbar", 0.0, 0.5, 2)],
+    }
+    path = tmp_path / "c.json"
+    for fmt in ("csv", "json"):
+        raw["output"] = {"format": fmt}
+        path.write_text(json.dumps(raw))
+        code, expected = _point_by_point("probs", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["probs", "--config", str(path)]) == code == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        if fmt == "csv":
+            ratios = [line.split(",")[-1] for line in out.splitlines()[1:]]
+        else:
+            ratios = [row["delta_ratio"] for row in json.loads(out, parse_constant=float)]
+            ratios = ["" if ratio is None else repr(ratio) for ratio in ratios]
+        assert len(ratios) == 7 * 2 * 4
+        assert ratios[0] != "" and ratios[-1] == ""  # defined at |alpha| 1, undefined at 1e30
+        assert all(ratio == "" or math.isfinite(float(ratio)) for ratio in ratios)
 
-    def delta_pn(p, gamma_t, n_max):
-        if p.nbar == nbar:
-            raise ValueError(f"P_1 = nan is non-finite at nbar = {nbar}")
-        return real(p, gamma_t, n_max)
 
-    return delta_pn
+def _failing_scalars(nbar: float):
+    """states.detector_scalars with a NaN b_minus, so a non-finite P_n, at the waves of the given nbar.
+
+    The grid pass and the per-point replay both build their scalars through
+    it, so the NaN reaches counting.pn_series at the same grid point on both.
+    """
+    real = states.detector_scalars
+
+    def detector_scalars(alpha, r, theta, nbar_, gain=1.0, added=0.0):
+        sc = real(alpha, r, theta, nbar_, gain, added)
+        return sc._replace(b_minus=np.where(nbar_ == nbar, math.nan, sc.b_minus))
+
+    return detector_scalars
 
 
 @pytest.mark.parametrize(
@@ -798,7 +839,9 @@ def _failing_delta_pn(nbar: float):
 def test_probs_grid_error_matches_per_point_path(tmp_path, capsys, monkeypatch, raw, fail_at, code):
     # the first failing point in grid order decides the error, as point by point
     if fail_at is not None:
-        monkeypatch.setattr(counting, "delta_pn", _failing_delta_pn(fail_at))
+        failing = _failing_scalars(fail_at)
+        monkeypatch.setattr(states, "detector_scalars", failing)
+        monkeypatch.setattr(cli, "detector_scalars", failing)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
     expected = _point_by_point("probs", raw)

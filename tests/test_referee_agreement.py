@@ -3,7 +3,8 @@
 The referee (``perfbench/referee.py``) is loaded by path and shares no code
 with the package.  It covers the checked-in figure configs, the deep slice of
 the paper's regime (x_total 1, gamma_t 1e-17, squeezed), where g2 - 1 comes
-from cancellation, and the log-G P_n kernel over a seeded desk box.
+from cancellation, and, over a seeded desk box, the log-G P_n kernel alone and
+the production kernel ``counting.delta_pn`` with its coherent reference.
 """
 
 import csv
@@ -17,7 +18,7 @@ import pytest
 
 from gravoptics import counting
 from gravoptics.cli import main
-from gravoptics.states import GwSignalParams
+from gravoptics.states import GwSignalParams, detector_scalars
 
 ROOT = Path(__file__).resolve().parent.parent
 REFEREE = ROOT / "perfbench" / "referee.py"
@@ -52,6 +53,21 @@ def test_fig2_pn_from_n3_matches_referee(tmp_path, referee):
         state = referee.Scaled(1.0, float(row["fraction_q"]), "squeezed")
         worst = max(worst, abs(float(row["p_n"]) - float(referee.pn(state, 1e-17, n)[n])))
     assert worst <= 1e-16, worst
+
+
+def test_fig2_pn_to_n2_and_coherent_reference_match_referee(tmp_path, referee):
+    # P_0..P_2 from the log-G series, P_{n,c} from the Poisson law of the mean count
+    rows = run_rows(tmp_path, "probs", SCRIPTS / "fig2_probs.json")
+    worst_p = worst_pc = 0.0
+    for row in rows:
+        n = int(row["n"])
+        state = referee.Scaled(1.0, float(row["fraction_q"]), "squeezed")
+        ref = referee.counts(state, 1e-17, n)
+        if n <= 2:
+            worst_p = max(worst_p, abs(float(row["p_n"]) / float(ref.p[n]) - 1.0))
+        worst_pc = max(worst_pc, abs(float(row["p_n_coherent"]) / float(ref.p_coherent[n]) - 1.0))
+    assert worst_p <= 1e-15, worst_p
+    assert worst_pc <= 2e-15, worst_pc
 
 
 def test_fig3_g2_matches_referee(tmp_path, referee):
@@ -114,3 +130,24 @@ def test_log_series_pn_matches_referee_on_desk_box(referee):
         ref = referee.pn(referee.direct(p.alpha, p.r, p.theta, p.nbar), gamma_t, n_max)
         worst = max(worst, max(abs(value - float(exact)) for value, exact in zip(table, ref)))
     assert worst <= 1e-15, worst
+
+
+def test_delta_pn_grid_matches_referee_on_desk_box(referee):
+    # the whole box as one grid through the production kernel
+    n_max = 32
+    draws = desk_draws()
+    waves = [(p.alpha, p.r, p.theta, p.nbar) for p, _ in draws]
+    alpha, r, theta, nbar = (np.array(column) for column in zip(*waves))
+    s = np.array([math.sin(gamma_t) for _, gamma_t in draws])
+    table = counting.delta_pn(detector_scalars(alpha, r, theta, nbar, gain=s * s), n_max)
+    worst_p = worst_pc = 0.0
+    for i, (p, gamma_t) in enumerate(draws):
+        ref = referee.counts(referee.direct(p.alpha, p.r, p.theta, p.nbar), gamma_t, n_max)
+        for n in range(n_max + 1):
+            worst_p = max(worst_p, abs(table.pn[i, n] - float(ref.p[n])))
+            worst_pc = max(worst_pc, abs(table.pn_coherent[i, n] - float(ref.p_coherent[n])))
+    assert worst_p <= 1e-15, worst_p
+    assert worst_pc <= 1e-15, worst_pc
+    coherent = len(draws) - 3  # the draw with r = nbar = 0: the reference is P_n itself
+    assert table.pn[coherent].tolist() == table.pn_coherent[coherent].tolist()
+    assert table.ratio[coherent].tolist() == [0.0] * (n_max + 1)
