@@ -117,7 +117,8 @@ def build(work: Path) -> dict:
     entries = {}
     for label, code, text in outputs(work):
         data = text.encode()
-        entries[label] = {"exit": code, "size": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        digest = hashlib.sha256(data).hexdigest()
+        entries[label] = {"exit": code, "size": len(data), "sha256": digest}
     return {**platform_strings(), "outputs": entries}
 
 
@@ -133,14 +134,18 @@ def first_difference(expected: dict, actual: dict) -> str | None:
     want, got = expected["outputs"], actual["outputs"]
     for label in [*want, *(label for label in got if label not in want)]:
         if want.get(label) != got.get(label):
-            return f"first differing output: {label}: manifest {want.get(label)}, now {got.get(label)}"
+            return (
+                f"first differing output: {label}: manifest {want.get(label)}, now {got.get(label)}"
+            )
     return None
 
 
 def dump(manifest: dict) -> str:
     """The manifest as JSON with one line per output, so that a moved output is one diff line."""
-    head = [f" {json.dumps(key)}: {json.dumps(value)}," for key, value in manifest.items() if key != "outputs"]
-    lines = [f"  {json.dumps(label)}: {json.dumps(entry)}" for label, entry in manifest["outputs"].items()]
+    strings = [(key, value) for key, value in manifest.items() if key != "outputs"]
+    head = [f" {json.dumps(key)}: {json.dumps(value)}," for key, value in strings]
+    entries = manifest["outputs"].items()
+    lines = [f"  {json.dumps(label)}: {json.dumps(entry)}" for label, entry in entries]
     return "{\n" + "\n".join(head) + '\n "outputs": {\n' + ",\n".join(lines) + "\n }\n}\n"
 
 

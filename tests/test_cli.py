@@ -505,8 +505,9 @@ def _point_by_point(command: str, raw: dict) -> tuple[int, str]:
                 probs = counting.pn_series(sc, n_max)
             except ValueError as exc:
                 return 2, f"numerical check failure: {exc}\n"
-            coherent = sc.ntilde == 0.0 and sc.m == 0.0
-            refs = probs if coherent else [counting.poisson_pn(sc.mean_n, n) for n in range(n_max + 1)]
+            refs = probs
+            if not (sc.ntilde == 0.0 and sc.m == 0.0):
+                refs = [counting.poisson_pn(sc.mean_n, n) for n in range(n_max + 1)]
             for n, (pn, pnc) in enumerate(zip(probs, refs)):
                 rows.append([*point, n, pn, pnc, None if pnc == 0.0 else (pnc - pn) / pnc])
             continue
@@ -764,7 +765,7 @@ def test_probs_grid_prints_undefined_ratios_as_empty_cells_and_nulls(tmp_path, c
 
 
 def _failing_scalars(nbar: float):
-    """states.detector_scalars with a NaN b_minus, so a non-finite P_n, at the waves of the given nbar.
+    """states.detector_scalars with a NaN b_minus, so a non-finite P_n, at waves of the given nbar.
 
     The grid pass and the per-point replay both build their scalars through
     it, so the NaN reaches counting.pn_series at the same grid point on both.
