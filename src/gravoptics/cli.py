@@ -427,10 +427,7 @@ def _cell(kind: type) -> str:
 
 
 def _column(column: np.ndarray) -> tuple[str, list]:
-    """The %-format of a grid column and its cells.
-
-    A column of floats mixed with None, an undefined value, is formatted cell by cell.
-    """
+    """The %-format of a grid column and its cells, formatted one by one where None mixes in."""
     cells = column.tolist()
     if column.dtype == object and None in cells:
         return "%s", [_cell(type(x)) % x for x in cells]
