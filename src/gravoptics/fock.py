@@ -16,6 +16,9 @@ binomial Kraus amplitudes <k, m| U |k+m, 0>, done as one real Toeplitz
 matmul on a rescaled rho, never as the joint state.
 Each density matrix is checked for unit trace, Hermiticity and positivity (a
 Cholesky factorization shifted by the floor); numpy does all of it.
+``oracle_pn_table`` and ``oracle_moments_and_g2`` read only the marginal's
+diagonal, and they share the latest checked one: asking both of one state
+builds its wave density and its marginal once.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class TruncatedState:
         size = self.dim**self.num_modes
         if rho.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} density matrix")
-        if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
+        trace = np.trace(rho)
+        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise ValueError("density matrix trace must be 1")
         if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix must be Hermitian")
@@ -325,6 +329,32 @@ def oracle_bar_state(
     return TruncatedState(gw.dim, rho_bar / np.trace(rho_bar).real, tail)
 
 
+# (key, diagonal) of the latest marginal that passed its checks, or None
+_last_populations: tuple[tuple, NDArray[np.complex128]] | None = None
+
+
+def _bar_populations(
+    p: GwSignalParams, gamma_t: float, dim: int | None, tail_tol: float
+) -> NDArray[np.complex128]:
+    """Read-only diagonal of ``oracle_bar_state(p, gamma_t, dim, tail_tol).rho``.
+
+    The latest one is kept, keyed by the exact bits of every input (so -0.0
+    and 0.0 differ); a call that raises keeps nothing.  The complex diagonal
+    is kept, not its real part: callers read it through ``.real``, a strided
+    view, and a contiguous copy would change the BLAS path of their dot
+    products and with it the last bits of the moments.
+    """
+    global _last_populations
+    numbers = (p.alpha.real, p.alpha.imag, p.r, p.theta, p.nbar, gamma_t, tail_tol)
+    key = (*(float(x).hex() for x in numbers), dim)
+    if _last_populations is not None and _last_populations[0] == key:
+        return _last_populations[1]
+    pops = np.diag(oracle_bar_state(p, gamma_t, dim, tail_tol).rho).copy()
+    pops.flags.writeable = False
+    _last_populations = key, pops
+    return pops
+
+
 def oracle_pn_table(
     p: GwSignalParams,
     gamma_t: float,
@@ -332,8 +362,7 @@ def oracle_pn_table(
     dim: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> NDArray[np.float64]:
-    bar = oracle_bar_state(p, gamma_t, dim, tail_tol)
-    return np.diag(bar.rho).real[: n_max + 1].copy()
+    return _bar_populations(p, gamma_t, dim, tail_tol).real[: n_max + 1].copy()
 
 
 def oracle_moments_and_g2(
@@ -342,10 +371,13 @@ def oracle_moments_and_g2(
     dim: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> tuple[float, float, float]:
-    """(<n>, <n^2>, g2) of the detector marginal; <n> = 0 raises."""
-    bar = oracle_bar_state(p, gamma_t, dim, tail_tol)
-    levels = np.arange(bar.dim)
-    pops = np.diag(bar.rho).real
+    """(<n>, <n^2>, g2) of the detector marginal; <n> = 0 raises.
+
+    Reads the same latest checked marginal as ``oracle_pn_table``, so asking
+    both of one state builds it once.
+    """
+    pops = _bar_populations(p, gamma_t, dim, tail_tol).real
+    levels = np.arange(len(pops))
     mean_n = float(levels @ pops)
     mean_n2 = float((levels**2) @ pops)
     if mean_n == 0.0:

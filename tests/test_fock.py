@@ -194,8 +194,9 @@ def test_bar_marginal_at_growth_max_dim(gt):
         assert abs(prob_n_generating(moments, n) - bar.rho[n, n].real) < 1e-8, n
 
 
-def test_oracle_builds_each_density_once(monkeypatch):
-    p = GwSignalParams(alpha=complex(0.9, -0.3), r=0.4, theta=0.5, nbar=0.3)
+def count_builds(monkeypatch) -> list[int]:
+    """Start from an empty populations memo; the list gets the dim of every density built."""
+    monkeypatch.setattr(fock, "_last_populations", None)
     built = []
     build = fock.build_gw_density
 
@@ -205,11 +206,68 @@ def test_oracle_builds_each_density_once(monkeypatch):
         return state
 
     monkeypatch.setattr(fock, "build_gw_density", counted)
+    return built
+
+
+def test_oracle_builds_each_density_once(monkeypatch):
+    p = GwSignalParams(alpha=complex(0.9, -0.3), r=0.4, theta=0.5, nbar=0.3)
+    built = count_builds(monkeypatch)
     fock.oracle_pn_table(p, 0.7, 5)
-    assert len(built) == 1
     fock.oracle_moments_and_g2(p, 0.7)
+    assert len(built) == 1
     fock.oracle_normal_moment(p, 1, 1)
-    assert len(built) == 3 and len(set(built)) == 1
+    assert len(built) == 2 and len(set(built)) == 1
+    # every input is in the memo's key to the bit: each change rebuilds once,
+    # and the other entry point then reads the rebuilt marginal
+    dim = built[0]
+    tol = 10 * fock.DEFAULT_TAIL_TOL
+    flat = GwSignalParams(alpha=complex(0.9, -0.3), r=0.4, theta=0.0, nbar=0.3)
+    flipped = GwSignalParams(alpha=complex(0.9, -0.3), r=0.4, theta=-0.0, nbar=0.3)
+    changes = [
+        (p, 0.8, None, fock.DEFAULT_TAIL_TOL),
+        (p, 0.8, dim, fock.DEFAULT_TAIL_TOL),
+        (p, 0.8, dim, tol),
+        (flat, 0.8, dim, tol),
+        (flipped, 0.8, dim, tol),
+    ]
+    for count, (q, gt, d, t) in enumerate(changes, start=len(built) + 1):
+        fock.oracle_moments_and_g2(q, gt, d, t)
+        fock.oracle_pn_table(q, gt, 5, d, t)
+        assert len(built) == count
+
+
+def test_oracle_memo_hit_matches_fresh_build(monkeypatch):
+    built = count_builds(monkeypatch)
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        p = GwSignalParams(
+            alpha=complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)),
+            r=rng.uniform(0, 0.8),
+            theta=rng.uniform(0, 2 * math.pi),
+            nbar=rng.uniform(0, 1.5),
+        )
+        gt = rng.uniform(0.02, 0.5 * math.pi)
+        # the benchmark's order: the P_n table, then the moments as a hit
+        monkeypatch.setattr(fock, "_last_populations", None)
+        cold_table = fock.oracle_pn_table(p, gt, 5)
+        hit_moments = np.array(fock.oracle_moments_and_g2(p, gt))
+        monkeypatch.setattr(fock, "_last_populations", None)
+        cold_moments = np.array(fock.oracle_moments_and_g2(p, gt))
+        hit_table = fock.oracle_pn_table(p, gt, 5)
+        assert hit_table.tobytes() == cold_table.tobytes()
+        assert hit_moments.tobytes() == cold_moments.tobytes()
+        # each table is the caller's own copy
+        hit_table[:] = -1.0
+        assert fock.oracle_pn_table(p, gt, 5).tobytes() == cold_table.tobytes()
+    assert len(built) == 16
+
+    # a failed build is not kept: the same call fails again
+    p = GwSignalParams(alpha=2.0, nbar=2.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="tail mass"):
+            fock.oracle_pn_table(p, 0.7, 5, dim=12)
+    with pytest.raises(ValueError, match="tail mass"):
+        fock.oracle_moments_and_g2(p, 0.7, dim=12)
 
 
 def test_tail_rejection():
