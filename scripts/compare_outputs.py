@@ -12,8 +12,10 @@ seeds 901-940 in-process, once as CSV and once as JSON, in one worker process
 per checkout.  Each swept ``probs`` and ``g2`` op also runs as a rejected-grid
 copy, whose first rejectable axis ends past its valid range (``PAST_RANGE``),
 so that the error a grid reports, and its order, are compared too.  The
-script names the first op whose exit code, output or stderr differ.  Exit
-status 0 means both checks found no difference.
+script lists every op whose exit code, output or stderr differ, grouped by
+subcommand with a count per group, so that a deliberate change to one
+subcommand's bytes still shows that every other output held.  Exit status 0
+means both checks found no difference.
 """
 
 from __future__ import annotations
@@ -46,21 +48,21 @@ def rejected(config: dict) -> dict | None:
     return None
 
 
-def run_ops(checkout: Path, work: Path) -> list[tuple[str, str, dict, int]]:
-    """(label, sha256 of exit code, stdout and stderr, config, exit code) of every op, in order."""
+def run_ops(checkout: Path, work: Path) -> list[tuple[str, str, str, int]]:
+    """(label, subcommand, sha256 of exit code, stdout and stderr, exit code) of every op."""
     sys.path.insert(0, str(checkout / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from gravoptics import cli
 
-    results: list[tuple[str, str, dict, int]] = []
+    results: list[tuple[str, str, str, int]] = []
 
-    def run(label: str, argv: list, config: dict) -> None:
+    def run(label: str, argv: list) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
-        results.append((label, digest.hexdigest(), config, code))
+        results.append((label, argv[0], digest.hexdigest(), code))
 
     def rounds():
         # every round writes its configs under the same names, so each round
@@ -72,12 +74,12 @@ def run_ops(checkout: Path, work: Path) -> list[tuple[str, str, dict, int]]:
     for where, ops in rounds():
         for op in ops:
             for fmt in FORMATS:
-                run(f"{where} {op.key} {fmt}", [*op.argv, "--format", fmt], op.config)
+                run(f"{where} {op.key} {fmt}", [*op.argv, "--format", fmt])
             config = rejected(op.config) if op.kind in ("probs", "g2") else None
             if config is not None:
                 path = work / f"{op.key}-rejected.json"
                 path.write_text(json.dumps(config))
-                run(f"{where} {op.key} rejected", [op.kind, "--config", str(path)], config)
+                run(f"{where} {op.key} rejected", [op.kind, "--config", str(path)])
     return results
 
 
@@ -107,6 +109,15 @@ def compare_figure_data(sides: dict[str, Path], scratch: Path) -> bool:
     return True
 
 
+def differing(parent: list, change: list) -> dict[str, list[str]]:
+    """Labels of the ops whose digests differ between two ``run_ops`` lists, by subcommand."""
+    groups: dict[str, list[str]] = {}
+    for (label, command, before, _), (_, _, after, _) in zip(parent, change, strict=True):
+        if before != after:
+            groups.setdefault(command, []).append(label)
+    return groups
+
+
 def compare_ops(sides: dict[str, Path], scratch: Path) -> bool:
     work = scratch / "configs"
     work.mkdir()
@@ -115,11 +126,15 @@ def compare_ops(sides: dict[str, Path], scratch: Path) -> bool:
         cmd = [sys.executable, "-B", __file__, "--worker", str(checkout), str(work)]
         proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
         results[name] = json.loads(proc.stdout)
-    for (label, parent, config, _), (_, change, _, _) in zip(results["parent"], results["change"]):
-        if parent != change:
-            print(f"sweeps ops: first difference at {label}\nconfig: {json.dumps(config)}")
-            return False
-    codes = [code for label, _, _, code in results["parent"] if label.endswith(" rejected")]
+    groups = differing(results["parent"], results["change"])
+    for command, labels in groups.items():
+        print(f"sweeps ops: {command}: {len(labels)} differ")
+        print("\n".join(f"  {label}" for label in labels))
+    if groups:
+        total = sum(map(len, groups.values()))
+        print(f"sweeps ops: {total} of {len(results['parent'])} outputs differ, seeds 901-940")
+        return False
+    codes = [code for label, *_, code in results["parent"] if label.endswith(" rejected")]
     exits = ", ".join(f"{codes.count(c)} exit {c}" for c in sorted(set(codes)))
     print(
         f"sweeps ops: identical ({len(results['parent'])} outputs, seeds 901-940; "

@@ -227,7 +227,13 @@ def _phase(alpha):
     rounds differently from it on some inputs.
     """
     if not _real_array(alpha):
-        return each(cmath.phase, alpha)
+        try:
+            return each(cmath.phase, alpha)
+        except OverflowError:
+            # cmath.phase raises where libm's atan2 flags a subnormal angle as
+            # a range error (2 + 5e-324j); math.atan2 calls the same atan2
+            # without that check
+            return each(lambda z: math.atan2(z.imag, z.real), alpha)
     negative = np.signbit(alpha)
     return np.where(negative, math.pi, 0.0) if negative.any() else 0.0
 

@@ -256,10 +256,14 @@ def test_oracle_memo_hit_matches_fresh_build(monkeypatch):
         hit_table = fock.oracle_pn_table(p, gt, 5)
         assert hit_table.tobytes() == cold_table.tobytes()
         assert hit_moments.tobytes() == cold_moments.tobytes()
+        # and the moments keep the bits of the marginal's own strided diagonal
+        pops = np.diag(fock.oracle_bar_state(p, gt).rho).real
+        levels = np.arange(len(pops))
+        assert hit_moments[0] == levels @ pops and hit_moments[1] == (levels**2) @ pops
         # each table is the caller's own copy
         hit_table[:] = -1.0
         assert fock.oracle_pn_table(p, gt, 5).tobytes() == cold_table.tobytes()
-    assert len(built) == 16
+    assert len(built) == 24
 
     # a failed build is not kept: the same call fails again
     p = GwSignalParams(alpha=2.0, nbar=2.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravoptics import fock
@@ -188,6 +188,8 @@ def test_ladder_transform_unitary():
     st.floats(0.0, 2.0),
     st.floats(0.0, 1.0),
 )
+# a subnormal angle of alpha, where cmath.phase raises OverflowError
+@example(alpha=2 + 5e-324j, r=0.0, theta=0.0, nbar=0.0, gain=0.0)
 def test_detector_scalars_match_central_moments(alpha, r, theta, nbar, gain):
     # desk scale, where the direct forms of d and e1 lose nothing
     p = GwSignalParams(alpha=alpha, r=r, theta=theta, nbar=nbar)
