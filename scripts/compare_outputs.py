@@ -14,8 +14,13 @@ copy, whose first rejectable axis ends past its valid range (``PAST_RANGE``),
 so that the error a grid reports, and its order, are compared too.  The
 script lists every op whose exit code, output or stderr differ, grouped by
 subcommand with a count per group, so that a deliberate change to one
-subcommand's bytes still shows that every other output held.  Exit status 0
-means both checks found no difference.
+subcommand's bytes still shows that every other output held.  The same
+worker also runs the Fock oracle on every draw of
+``perfbench/workloads.oracle_round`` for seeds 901-910, as the benchmark's
+``oracle`` workload does, and hashes the bytes of each P_n table and of the
+(<n>, <n^2>, g2) triple of each draw that asks for g2; they are reported as
+one more group, ``oracle``.  Exit status 0 means both checks found no
+difference.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(901, 941)
+ORACLE_SEEDS = range(901, 911)
 FORMATS = ("csv", "json")
 # the end of a rejected-grid axis: past [0, 1], below 0, |alpha|^2 overflows
 PAST_RANGE = {"fraction_q": 1.5, "r": -0.5, "nbar": -0.5, "alpha_mag": 1e200}
@@ -49,11 +55,17 @@ def rejected(config: dict) -> dict | None:
 
 
 def run_ops(checkout: Path, work: Path) -> list[tuple[str, str, str, int]]:
-    """(label, subcommand, sha256 of exit code, stdout and stderr, exit code) of every op."""
+    """(label, subcommand, sha256 of its output, exit code) of every op and oracle draw.
+
+    An op's output is its exit code, stdout and stderr; an oracle draw's is the
+    bytes of its P_n table or moment triple, or its error message.
+    """
     sys.path.insert(0, str(checkout / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import numpy as np
     import workloads
-    from gravoptics import cli
+    from gravoptics import cli, fock
+    from gravoptics.states import GwSignalParams
 
     results: list[tuple[str, str, str, int]] = []
 
@@ -80,6 +92,24 @@ def run_ops(checkout: Path, work: Path) -> list[tuple[str, str, str, int]]:
                 path = work / f"{op.key}-rejected.json"
                 path.write_text(json.dumps(config))
                 run(f"{where} {op.key} rejected", [op.kind, "--config", str(path)])
+
+    def oracle(label: str, call) -> None:
+        try:
+            code, out = 0, np.asarray(call()).tobytes()
+        except ValueError as error:
+            code, out = 1, str(error).encode()
+        results.append((label, "oracle", hashlib.sha256(out).hexdigest(), code))
+
+    # the table, then the moments, in the order of the benchmark's oracle op
+    for seed in ORACLE_SEEDS:
+        for op in workloads.oracle_round(seed):
+            prm = op.params
+            p = GwSignalParams(alpha=prm["alpha"], r=prm["r"], theta=prm["theta"], nbar=prm["nbar"])
+            gamma_t, label = prm["gamma_t"], f"seed {seed} {op.key}"
+            n_max = workloads.ORACLE_N_MAX
+            oracle(f"{label} table", lambda: fock.oracle_pn_table(p, gamma_t, n_max))
+            if prm["with_g2"]:
+                oracle(f"{label} moments", lambda: fock.oracle_moments_and_g2(p, gamma_t))
     return results
 
 
@@ -128,17 +158,24 @@ def compare_ops(sides: dict[str, Path], scratch: Path) -> bool:
         results[name] = json.loads(proc.stdout)
     groups = differing(results["parent"], results["change"])
     for command, labels in groups.items():
-        print(f"sweeps ops: {command}: {len(labels)} differ")
+        print(f"{command}: {len(labels)} differ")
         print("\n".join(f"  {label}" for label in labels))
     if groups:
         total = sum(map(len, groups.values()))
-        print(f"sweeps ops: {total} of {len(results['parent'])} outputs differ, seeds 901-940")
+        print(f"{total} of {len(results['parent'])} outputs differ")
         return False
-    codes = [code for label, *_, code in results["parent"] if label.endswith(" rejected")]
+    sweeps = [row for row in results["parent"] if row[1] != "oracle"]
+    codes = [code for label, *_, code in sweeps if label.endswith(" rejected")]
     exits = ", ".join(f"{codes.count(c)} exit {c}" for c in sorted(set(codes)))
     print(
-        f"sweeps ops: identical ({len(results['parent'])} outputs, seeds 901-940; "
+        f"sweeps ops: identical ({len(sweeps)} outputs, seeds 901-940; "
         f"{len(codes)} rejected grids: {exits})"
+    )
+    draws = [label for label, command, *_ in results["parent"] if command == "oracle"]
+    tables = sum(label.endswith(" table") for label in draws)
+    print(
+        f"oracle draws: identical ({tables} P_n tables and {len(draws) - tables} "
+        f"moment triples, seeds 901-910)"
     )
     return True
 

@@ -11,7 +11,9 @@ turns each chain real by a diagonal phase similarity and exponentiates the
 same truncated matrix through one real SVD of its half-size block linking
 even to odd levels; no state the oracle checks is built from the Gaussian
 kernels it is checked against.  The wave density is M M† with
-M = D S sqrt(rho_th).  The detector marginal is the sum over the exact
+M = D S sqrt(rho_th) along one path: S is never formed whole, D meets its
+two parity blocks through half-size products, and alpha = 0 and r = 0 run as
+exact identity chains.  The detector marginal is the sum over the exact
 binomial Kraus amplitudes <k, m| U |k+m, 0>, done as one real Toeplitz
 matmul on a rescaled rho, never as the joint state.
 Each density matrix is checked for unit trace, Hermiticity and positivity (a
@@ -39,6 +41,8 @@ DEFAULT_TAIL_TOL = 1e-8
 # anti-squeezed quadrature at r = 1, nbar = 2 fails at 320 and passes at 340)
 MAX_DIM = 320
 GROWTH_MAX_DIM = 448
+# the adaptive search never starts below this cutoff, nor below the levels asked for
+MIN_DIM = 12
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
@@ -52,13 +56,11 @@ class TruncatedState:
     dim: int
     rho: NDArray[np.complex128]
     tail_mass: float
-    num_modes: int = 1
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
-        size = self.dim**self.num_modes
-        if rho.shape != (size, size):
-            raise ValueError(f"expected a {size}x{size} density matrix")
+        if rho.shape != (self.dim, self.dim):
+            raise ValueError(f"expected a {self.dim}x{self.dim} density matrix")
         trace = np.trace(rho)
         if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise ValueError("density matrix trace must be 1")
@@ -66,8 +68,10 @@ class TruncatedState:
             raise ValueError("density matrix must be Hermitian")
         # Cholesky of rho - floor * I succeeds exactly when no eigenvalue of rho
         # lies below the floor, at a fraction of the cost of the spectrum
+        shifted = rho.copy()
+        shifted.flat[:: self.dim + 1] -= POSITIVITY_FLOOR
         try:
-            np.linalg.cholesky(rho - POSITIVITY_FLOOR * np.eye(size))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance") from None
         object.__setattr__(self, "rho", rho)
@@ -114,14 +118,15 @@ def _chain_expm(off: NDArray) -> NDArray[np.complex128]:
 
 
 def _renormalize_columns(op: NDArray[np.complex128]) -> tuple[NDArray[np.complex128], float]:
-    """Divide out the column-norm deficit of a truncated unitary; the largest is the leakage.
+    """Divide out, in place, a truncated unitary's column-norm deficit; the largest is the leakage.
 
     Truncation makes the top columns lose fidelity rather than norm, so the
     leakage stays at rounding level; it is still measured and returned.
     """
     norms = np.linalg.norm(op, axis=0)
-    leakage = float(np.max(np.abs(1.0 - norms)))
-    return op / norms, leakage
+    op /= norms
+    # initial: the empty odd block of a one-level cutoff leaks nothing
+    return op, float(np.max(np.abs(1.0 - norms), initial=0.0))
 
 
 def displacement_op(alpha: complex, dim: int) -> tuple[NDArray[np.complex128], float]:
@@ -130,19 +135,20 @@ def displacement_op(alpha: complex, dim: int) -> tuple[NDArray[np.complex128], f
     return _renormalize_columns(_chain_expm(off))
 
 
-def squeeze_op(r: float, theta: float, dim: int) -> tuple[NDArray[np.complex128], float]:
-    """exp((xi* a^2 - xi a†^2) / 2) on the cutoff, xi = r e^{i theta}.
+def squeeze_blocks(r: float, theta: float, dim: int) -> tuple[NDArray, NDArray, float]:
+    """Even block, odd block and leakage of exp((xi* a^2 - xi a†^2) / 2), xi = r e^{i theta}.
 
-    The generator couples |j> to |j + 2> only, so it is two tridiagonal
-    chains, one on the even and one on the odd levels, with couplings
-    -i xi sqrt((j + 1)(j + 2)) / 2.
+    The generator couples |j> to |j + 2> only, so S is two tridiagonal
+    chains, S[0::2, 0::2] on the even and S[1::2, 1::2] on the odd levels,
+    with couplings -i xi sqrt((j + 1)(j + 2)) / 2, and zero elsewhere.
     """
     xi = r * np.exp(1j * theta)
-    op = np.zeros((dim, dim), dtype=complex)
+    blocks = [np.zeros((0, 0), dtype=complex)] * 2
     for parity in range(min(2, dim)):
         j = np.arange(parity, dim - 2, 2, dtype=float)
-        op[parity::2, parity::2] = _chain_expm(-0.5j * xi * np.sqrt((j + 1.0) * (j + 2.0)))
-    return _renormalize_columns(op)
+        blocks[parity] = _chain_expm(-0.5j * xi * np.sqrt((j + 1.0) * (j + 2.0)))
+    (even, even_leakage), (odd, odd_leakage) = map(_renormalize_columns, blocks)
+    return even, odd, max(even_leakage, odd_leakage)
 
 
 def thermal_populations(nbar: float, dim: int) -> NDArray[np.float64]:
@@ -159,19 +165,15 @@ def build_gw_density(
     p: GwSignalParams, dim: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> TruncatedState:
     """Displaced squeezed thermal density matrix M M† with M = D S sqrt(rho_th)."""
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     root_pops = np.sqrt(thermal_populations(p.nbar, dim))
-    if p.r != 0.0:
-        factor, _ = squeeze_op(p.r, p.theta, dim)
-        factor *= root_pops
-    else:
-        factor = np.diag(root_pops).astype(complex)
-    if p.alpha != 0:
-        displaced, _ = displacement_op(p.alpha, dim)
-        # S sqrt(rho_th) maps each parity of levels to itself, so D meets the
-        # even and the odd columns through half-size blocks
-        for parity in range(min(2, dim)):
-            displaced[:, parity::2] = displaced[:, parity::2] @ factor[parity::2, parity::2]
-        factor = displaced
+    factor, _ = displacement_op(p.alpha, dim)
+    even, odd, _ = squeeze_blocks(p.r, p.theta, dim)
+    # S sqrt(rho_th) maps each parity of levels to itself, so D meets the even
+    # and the odd columns through half-size blocks
+    for parity, block in enumerate((even, odd)):
+        factor[:, parity::2] = factor[:, parity::2] @ (block * root_pops[parity::2])
     rho = factor @ factor.conj().T
     rho /= np.trace(rho).real
     rho += rho.conj().T
@@ -196,8 +198,10 @@ def _tail_decay_ratio(p: GwSignalParams) -> float:
     return mu / det + (1.0 - w / det)
 
 
-def _gw_density(p: GwSignalParams, dim: int | None, tail_tol: float) -> TruncatedState:
-    """Wave density on the given cutoff, or on the smallest acceptable one if dim is None.
+def _gw_density(
+    p: GwSignalParams, dim: int | None, tail_tol: float, min_dim: int = MIN_DIM
+) -> TruncatedState:
+    """Wave density on dim, or on the smallest acceptable cutoff from min_dim up if dim is None.
 
     The adaptive search keeps the density it accepts, so callers build it once.
     """
@@ -210,7 +214,7 @@ def _gw_density(p: GwSignalParams, dim: int | None, tail_tol: float) -> Truncate
     else:
         span = 9.0 * math.sqrt(mean + 1.0)
     guess = int(mean + 2.0 * abs(p.alpha) + span + 12)
-    dim = min(MAX_DIM, max(12, guess))
+    dim = max(min_dim, min(MAX_DIM, guess))
     while True:
         try:
             return build_gw_density(p, dim, tail_tol)
@@ -323,10 +327,12 @@ def oracle_bar_state(
     gamma_t: float,
     dim: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
+    min_dim: int = MIN_DIM,
 ) -> TruncatedState:
-    gw = _gw_density(p, dim, tail_tol)
+    gw = _gw_density(p, dim, tail_tol, min_dim)
     rho_bar, tail = evolved_bar_density(gw, gamma_t)
-    return TruncatedState(gw.dim, rho_bar / np.trace(rho_bar).real, tail)
+    rho_bar /= np.trace(rho_bar).real
+    return TruncatedState(gw.dim, rho_bar, tail)
 
 
 # (key, diagonal) of the latest marginal that passed its checks, or None
@@ -334,9 +340,9 @@ _last_populations: tuple[tuple, NDArray[np.complex128]] | None = None
 
 
 def _bar_populations(
-    p: GwSignalParams, gamma_t: float, dim: int | None, tail_tol: float
+    p: GwSignalParams, gamma_t: float, dim: int | None, tail_tol: float, min_dim: int = MIN_DIM
 ) -> NDArray[np.complex128]:
-    """Read-only diagonal of ``oracle_bar_state(p, gamma_t, dim, tail_tol).rho``.
+    """Read-only diagonal of ``oracle_bar_state(p, gamma_t, dim, tail_tol, min_dim).rho``.
 
     The latest one is kept, keyed by the exact bits of every input (so -0.0
     and 0.0 differ); a call that raises keeps nothing.  The complex diagonal
@@ -346,10 +352,10 @@ def _bar_populations(
     """
     global _last_populations
     numbers = (p.alpha.real, p.alpha.imag, p.r, p.theta, p.nbar, gamma_t, tail_tol)
-    key = (*(float(x).hex() for x in numbers), dim)
+    key = (*(float(x).hex() for x in numbers), dim, min_dim)
     if _last_populations is not None and _last_populations[0] == key:
         return _last_populations[1]
-    pops = np.diag(oracle_bar_state(p, gamma_t, dim, tail_tol).rho).copy()
+    pops = np.diag(oracle_bar_state(p, gamma_t, dim, tail_tol, min_dim).rho).copy()
     pops.flags.writeable = False
     _last_populations = key, pops
     return pops
@@ -362,7 +368,15 @@ def oracle_pn_table(
     dim: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> NDArray[np.float64]:
-    return _bar_populations(p, gamma_t, dim, tail_tol).real[: n_max + 1].copy()
+    """P_0..P_n_max of the detector marginal, on a cutoff that holds every one of them."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    if dim is not None and dim <= n_max:
+        raise ValueError(f"dim must exceed n_max {n_max}, got {dim}")
+    if dim is None and n_max >= GROWTH_MAX_DIM:
+        raise ValueError(f"n_max {n_max} needs a cutoff past {GROWTH_MAX_DIM}: pass dim")
+    pops = _bar_populations(p, gamma_t, dim, tail_tol, max(MIN_DIM, n_max + 1))
+    return pops.real[: n_max + 1].copy()
 
 
 def oracle_moments_and_g2(

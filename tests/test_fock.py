@@ -54,6 +54,10 @@ def test_truncated_state_validation():
         else:
             with pytest.raises(ValueError, match="negative eigenvalue"):
                 fock.TruncatedState(3, rho3, 0.0)
+    # a density matrix of the wrong size, or not square
+    for wrong in (np.eye(3) / 3.0, np.full((2, 3), 0.5), np.array([0.5, 0.5])):
+        with pytest.raises(ValueError, match="expected a 2x2 density matrix"):
+            fock.TruncatedState(2, wrong, 0.0)
 
 
 # 95 and 321 give squeeze chains of both parities with even and odd lengths,
@@ -68,7 +72,8 @@ def test_structured_operators_match_dense_expm(dim):
         assert leakage < 1e-12
     for r, theta in ((0.4, 0.0), (1.0, math.pi), (0.7, 2.1), (1.2, -0.5)):
         xi = r * np.exp(1j * theta)
-        s, leakage = fock.squeeze_op(r, theta, dim)
+        s = np.zeros((dim, dim), dtype=complex)
+        s[0::2, 0::2], s[1::2, 1::2], leakage = fock.squeeze_blocks(r, theta, dim)
         ref = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (a.T @ a.T)))
         assert np.max(np.abs(s - ref)) < 1e-12, (r, theta)
         assert leakage < 1e-12
@@ -78,11 +83,24 @@ def test_chain_exponential_at_the_growth_cutoff():
     dim = fock.GROWTH_MAX_DIM
     _, leakage = fock.displacement_op(2.0 * np.exp(0.3j), dim)
     assert leakage < 1e-12
-    _, leakage = fock.squeeze_op(1.0, 0.7, dim)
+    *_, leakage = fock.squeeze_blocks(1.0, 0.7, dim)
     assert leakage < 1e-12
     for total_n in (7, 12):
         u = fock._block_unitary(total_n, 0.0)
         np.testing.assert_allclose(u, np.eye(total_n + 1), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 21, 95])
+def test_zero_coupling_chains_are_exactly_the_identity(dim):
+    # build_gw_density runs alpha = 0 and r = 0 through the same products as
+    # every other state; they keep their bits only because these are exact
+    d, leakage = fock.displacement_op(0, dim)
+    assert np.array_equal(d, np.eye(dim)) and leakage == 0.0
+    for theta in (0.0, 0.7, -2.0):
+        even, odd, leakage = fock.squeeze_blocks(0.0, theta, dim)
+        assert np.array_equal(even, np.eye((dim + 1) // 2))
+        assert np.array_equal(odd, np.eye(dim // 2))
+        assert leakage == 0.0
 
 
 def test_beamsplitter_unitary_blocks():
@@ -277,6 +295,26 @@ def test_oracle_memo_hit_matches_fresh_build(monkeypatch):
 def test_tail_rejection():
     with pytest.raises(ValueError):
         fock.build_gw_density(GwSignalParams(alpha=2.0, nbar=2.0), 12)
+
+
+def test_oracle_table_holds_every_level_asked_for():
+    # the adaptive cutoff would be 22 for this state and 21 for the vacuum; a
+    # shorter table asked for first must not be read back from the memo
+    for p in (GwSignalParams(alpha=0.3), GwSignalParams()):
+        assert len(fock.oracle_pn_table(p, 0.5, 5)) == 6
+        assert len(fock.oracle_pn_table(p, 0.5, 30)) == 31
+        assert len(fock.oracle_pn_table(p, 0.5, 30, dim=31)) == 31
+    p = GwSignalParams(alpha=0.3)
+    with pytest.raises(ValueError, match="n_max must be at least 0, got -1"):
+        fock.oracle_pn_table(p, 0.5, -1)
+    with pytest.raises(ValueError, match="dim must exceed n_max 5, got 5"):
+        fock.oracle_pn_table(p, 0.5, 5, dim=5)
+    with pytest.raises(ValueError, match="dim must be at least 1, got 0"):
+        fock.build_gw_density(p, 0)
+    with pytest.raises(ValueError, match="dim must be at least 1, got 0"):
+        fock.oracle_bar_state(p, 0.5, dim=0)
+    with pytest.raises(ValueError, match=f"n_max {fock.GROWTH_MAX_DIM} needs a cutoff past"):
+        fock.oracle_pn_table(p, 0.5, fock.GROWTH_MAX_DIM)
 
 
 def test_oracle_reaches_past_max_dim_at_the_anti_squeezed_corner():

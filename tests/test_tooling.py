@@ -107,15 +107,18 @@ def test_compare_outputs_lists_every_difference_by_subcommand(monkeypatch, tmp_p
         ("seed 901 probs-0 rejected", "probs", "c", 1),
         ("seed 901 tomo-2 json", "tomo", "d", 0),
         ("seed 902 probs-3 json", "probs", "e", 0),
+        ("seed 901 oracle-0-0 table", "oracle", "f", 0),
+        ("seed 901 oracle-0-0 moments", "oracle", "g", 0),
     ]
     change = list(parent)
-    for i in (0, 1, 2, 4):
+    for i in (0, 1, 2, 4, 6):
         label, command, _, code = parent[i]
         change[i] = (label, command, "moved", code)
     assert compare.differing(parent, parent) == {}
     assert compare.differing(parent, change) == {
         "probs": ["seed 901 probs-0 csv", "seed 901 probs-0 rejected", "seed 902 probs-3 json"],
         "g2": ["seed 901 g2-1 csv"],
+        "oracle": ["seed 901 oracle-0-0 moments"],
     }
 
     def worker(cmd, **_):
@@ -127,8 +130,11 @@ def test_compare_outputs_lists_every_difference_by_subcommand(monkeypatch, tmp_p
     assert compare.compare_ops(sides, tmp_path) is False
     printed = capsys.readouterr().out
     assert "probs: 3 differ\n  seed 901 probs-0 csv\n" in printed and "g2: 1 differ" in printed
-    assert "4 of 5 outputs differ" in printed
+    assert "oracle: 1 differ\n  seed 901 oracle-0-0 moments\n" in printed
+    assert "5 of 7 outputs differ" in printed
     change[:] = parent
     (tmp_path / "again").mkdir()
     assert compare.compare_ops(sides, tmp_path / "again") is True
-    assert "identical (5 outputs" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "sweeps ops: identical (5 outputs" in printed
+    assert "oracle draws: identical (1 P_n tables and 1 moment triples" in printed
