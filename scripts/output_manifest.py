@@ -1,22 +1,35 @@
-"""Pin the bytes that gravoptics prints, in a committed manifest.
+"""Pin the bytes that gravoptics prints, and compare them between two checkouts.
 
-    python3 scripts/output_manifest.py          # name the first output that differs
-    python3 scripts/output_manifest.py --write  # regenerate tests/output_manifest.json
+    python3 scripts/output_manifest.py                          # check the manifest
+    python3 scripts/output_manifest.py --write                  # regenerate it
+    python3 scripts/output_manifest.py --compare PARENT CHANGE  # two full checkouts
 
-The outputs are, in this order: the five commands of
-``scripts/reproduce_figure_data.sh``; every op of
-``perfbench/workloads.sweeps_round`` for SEEDS, once as CSV and once as JSON;
-a rejected-grid copy of each swept ``probs`` and ``g2`` op (``rejected`` of
-``scripts/compare_outputs.py``); and the GATED inputs, whose error order no
-rejected copy shows.  Each output is recorded as its exit code plus the
-sha256 and size of what it printed (stdout, then stderr).  A change that moves
-bytes on purpose regenerates the manifest with ``--write``, so the moved
-outputs show up in its diff.
+One in-process generator, ``outputs``, yields every pinned output with its
+label and subcommand, in this order: the five commands of
+``scripts/reproduce_figure_data.sh`` (``figure``); every warm-up and op of
+``perfbench/workloads.sweeps_round``, once as CSV and once as JSON, each
+swept ``probs`` and ``g2`` op followed by a copy whose first rejectable axis
+ends past its valid range (``rejected``, ``PAST_RANGE``), so that the error a
+grid reports, and its order, are pinned too; the GATED inputs, whose error
+order no rejected copy shows; and the P_n table and (<n>, <n^2>, g2) triple
+of each draw of ``perfbench/workloads.oracle_round``, in the benchmark's call
+order (subcommand ``oracle``).  An output's digest is the sha256 of its exit
+code, stdout and stderr, kept apart, so a byte moved from one stream to the
+other shows.  An oracle draw prints the bytes of its array; a ``ValueError``
+prints its message to stderr and exits 1.
 
-The bytes depend on the libm and numpy builds, so the manifest also records
-the python, numpy and platform strings; a check on another platform fails
-and says so.  The kernel release is left out of the platform string: it does
-not round anything.
+``tests/output_manifest.json`` holds the exit code and digest of every output
+for the seeds PINNED; the check names the first one that differs.  A change
+that moves bytes on purpose regenerates it with ``--write``, so the moved
+outputs show in its diff.  The bytes depend on the libm and numpy builds, so
+the manifest also records the python, numpy and platform strings; a check on
+another platform fails and says so.  The kernel release is left out of the
+platform string: it does not round anything.
+
+``--compare`` runs the generator for the seeds COMPARED once per checkout,
+each in a ``python -B`` worker on that checkout's ``src/``, lists every
+output that differs, grouped by subcommand with a count per group, and exits
+1 on any difference.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ import importlib.util
 import io
 import json
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -36,8 +50,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "output_manifest.json"
-SEEDS = (901, 902)
+# (sweeps seeds, oracle seeds)
+PINNED = (range(901, 903), range(901, 903))
+COMPARED = (range(901, 941), range(901, 911))
 FORMATS = ("csv", "json")
+# the end of a rejected-grid axis: past [0, 1], below 0, |alpha|^2 overflows
+PAST_RANGE = {"fraction_q": 1.5, "r": -0.5, "nbar": -0.5, "alpha_mag": 1e200}
 # (label, subcommand, config): inputs whose error order a rejected copy cannot show
 GATED = (
     # the vacuum at the first point exits 2, before r = 400 overflows cosh(2r) (exit 1)
@@ -53,6 +71,14 @@ GATED = (
         },
     ),
 )
+# the --compare worker: argv is this directory, the checkout and a config directory
+WORKER = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[2] + "/src", sys.argv[1]]
+import output_manifest as m
+json.dump(m.rows(Path(sys.argv[2]), Path(sys.argv[3]), *m.COMPARED), sys.stdout)
+"""
 
 
 def _load(name: str, path: Path):
@@ -79,46 +105,90 @@ def platform_strings() -> dict[str, str]:
     }
 
 
-def outputs(work: Path):
-    """(label, exit code, printed text) of every pinned output, in order."""
-    from gravoptics import cli
+def rejected(config: dict) -> dict | None:
+    """A copy of a swept config whose first rejectable axis ends at PAST_RANGE, or None."""
+    for i, axis in enumerate(config.get("sweep", [])):
+        if axis["parameter"] in PAST_RANGE:
+            sweep = list(config["sweep"])
+            sweep[i] = {**axis, "max": PAST_RANGE[axis["parameter"]]}
+            return {**config, "sweep": sweep}
+    return None
+
+
+def outputs(checkout: Path, work: Path, seeds, oracle_seeds):
+    """(label, subcommand, exit code, stdout, stderr) of every pinned output, in order.
+
+    The figure commands read the checkout's configs; the ops and draws are
+    those of this directory's ``perfbench/workloads.py``.
+    """
+    from gravoptics import cli, fock
+    from gravoptics.states import GwSignalParams
 
     workloads = _load("manifest_workloads", ROOT / "perfbench" / "workloads.py")
-    rejected = _load("manifest_compare_outputs", ROOT / "scripts" / "compare_outputs.py").rejected
 
-    def run(argv: list) -> tuple[int, str]:
+    def run(argv: list) -> tuple:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([str(arg) for arg in argv])
-        return code, out.getvalue() + err.getvalue()
+        return argv[0], code, out.getvalue().encode(), err.getvalue().encode()
 
     def config_file(name: str, config: dict) -> Path:
         path = work / f"{name}.json"
         path.write_text(json.dumps(config))
         return path
 
+    def rounds():
+        # each round writes its configs under the same names, so it is made
+        # only once the one before it has run
+        yield "warm-up", workloads.sweeps_warmup(work)
+        for seed in seeds:
+            yield f"seed {seed}", workloads.sweeps_round(seed, work)
+
+    def oracle(call) -> tuple:
+        try:
+            return "oracle", 0, np.asarray(call()).tobytes(), b""
+        except ValueError as error:
+            return "oracle", 1, b"", str(error).encode()
+
     for name, args in workloads.CLI_COMMANDS:
-        argv = [ROOT / arg if arg.startswith("scripts/") else arg for arg in args]
+        argv = [checkout / arg if arg.startswith("scripts/") else arg for arg in args]
         yield (f"figure {name}", *run([name, *argv]))
-    for seed in SEEDS:
-        # each round writes its configs under the same names, so it runs before the next is made
-        for op in workloads.sweeps_round(seed, work):
+    for where, ops in rounds():
+        for op in ops:
             for fmt in FORMATS:
-                yield (f"seed {seed} {op.key} {fmt}", *run([*op.argv, "--format", fmt]))
+                yield (f"{where} {op.key} {fmt}", *run([*op.argv, "--format", fmt]))
             config = rejected(op.config) if op.kind in ("probs", "g2") else None
             if config is not None:
                 path = config_file(f"{op.key}-rejected", config)
-                yield (f"seed {seed} {op.key} rejected", *run([op.kind, "--config", path]))
+                yield (f"{where} {op.key} rejected", *run([op.kind, "--config", path]))
     for label, command, config in GATED:
         yield (f"gated {label}", *run([command, "--config", config_file("gated", config)]))
+    for seed in oracle_seeds:
+        for op in workloads.oracle_round(seed):
+            prm, label = op.params, f"seed {seed} {op.key}"
+            p = GwSignalParams(alpha=prm["alpha"], r=prm["r"], theta=prm["theta"], nbar=prm["nbar"])
+            gamma_t, n_max = prm["gamma_t"], workloads.ORACLE_N_MAX
+            yield (f"{label} table", *oracle(lambda: fock.oracle_pn_table(p, gamma_t, n_max)))
+            if prm["with_g2"]:
+                yield (f"{label} moments", *oracle(lambda: fock.oracle_moments_and_g2(p, gamma_t)))
+
+
+def digest(code: int, out: bytes, err: bytes) -> str:
+    """sha256 of an exit code, stdout and stderr; the length of stdout keeps the streams apart."""
+    return hashlib.sha256(b"%d %d\0" % (code, len(out)) + out + err).hexdigest()
+
+
+def rows(checkout: Path, work: Path, seeds, oracle_seeds) -> list[tuple[str, str, str, int]]:
+    """(label, subcommand, digest, exit code) of every output of ``outputs``."""
+    return [
+        (label, command, digest(code, out, err), code)
+        for label, command, code, out, err in outputs(checkout, work, seeds, oracle_seeds)
+    ]
 
 
 def build(work: Path) -> dict:
-    entries = {}
-    for label, code, text in outputs(work):
-        data = text.encode()
-        digest = hashlib.sha256(data).hexdigest()
-        entries[label] = {"exit": code, "size": len(data), "sha256": digest}
+    pinned = rows(ROOT, work, *PINNED)
+    entries = {label: {"exit": code, "sha256": sha} for label, _, sha, code in pinned}
     return {**platform_strings(), "outputs": entries}
 
 
@@ -149,10 +219,62 @@ def dump(manifest: dict) -> str:
     return "{\n" + "\n".join(head) + '\n "outputs": {\n' + ",\n".join(lines) + "\n }\n}\n"
 
 
+def differing(parent: list, change: list) -> dict[str, list[str]]:
+    """Labels of the outputs whose digests differ between two ``rows`` lists, by subcommand."""
+    groups: dict[str, list[str]] = {}
+    for (label, command, before, _), (_, _, after, _) in zip(parent, change, strict=True):
+        if before != after:
+            groups.setdefault(command, []).append(label)
+    return groups
+
+
+def compare(parent: Path, change: Path) -> bool:
+    """Run ``rows`` on both checkouts and print what differs, or a summary when nothing does."""
+    results = []
+    with tempfile.TemporaryDirectory() as work:
+        for checkout in (parent, change):
+            cmd = [sys.executable, "-B", "-c", WORKER, str(ROOT / "scripts"), str(checkout), work]
+            # a worker's stderr passes through, so a checkout that crashes shows why
+            proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
+            results.append(json.loads(proc.stdout))
+    groups = differing(*results)
+    for command, labels in groups.items():
+        print(f"{command}: {len(labels)} differ")
+        print("\n".join(f"  {label}" for label in labels))
+    if groups:
+        print(f"{sum(map(len, groups.values()))} of {len(results[0])} outputs differ")
+        return False
+    kinds: dict[str, list] = {"figure": [], "sweeps": [], "gated": [], "oracle": []}
+    for label, command, _, code in results[0]:
+        kind = "oracle" if command == "oracle" else label.split()[0]
+        kinds.get(kind, kinds["sweeps"]).append((label, code))
+    codes = [code for label, code in kinds["sweeps"] if label.endswith(" rejected")]
+    exits = ", ".join(f"{codes.count(c)} exit {c}" for c in sorted(set(codes)))
+    tables = sum(label.endswith(" table") for label, _ in kinds["oracle"])
+    seeds, oracle_seeds = COMPARED
+    print(f"figure data: identical ({len(kinds['figure'])} outputs)")
+    print(
+        f"sweeps ops: identical ({len(kinds['sweeps'])} outputs, warm-ups and seeds "
+        f"{seeds[0]}-{seeds[-1]}; {len(codes)} rejected grids: {exits})"
+    )
+    print(f"gated inputs: identical ({len(kinds['gated'])} outputs)")
+    print(
+        f"oracle draws: identical ({tables} P_n tables and {len(kinds['oracle']) - tables} "
+        f"moment triples, seeds {oracle_seeds[0]}-{oracle_seeds[-1]})"
+    )
+    return True
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help=f"regenerate {MANIFEST.name}")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help=f"regenerate {MANIFEST.name}")
+    mode.add_argument(
+        "--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"), help="compare two checkouts"
+    )
     args = parser.parse_args()
+    if args.compare:
+        return 0 if compare(*(checkout.resolve() for checkout in args.compare)) else 1
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as work:
         actual = build(Path(work))

@@ -61,11 +61,12 @@ class TruncatedState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} density matrix")
+        # both tests are negated: a comparison with NaN is False, so a non-finite entry fails one
         trace = np.trace(rho)
-        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
-            raise ValueError("density matrix trace must be 1")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix must be Hermitian")
+        if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
+            raise ValueError(f"density matrix trace must be 1, got {trace} (non-finite fails)")
+        if not (np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL):
+            raise ValueError("density matrix must be Hermitian (non-finite fails)")
         # Cholesky of rho - floor * I succeeds exactly when no eigenvalue of rho
         # lies below the floor, at a fraction of the cost of the spectrum
         shifted = rho.copy()

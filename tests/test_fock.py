@@ -58,6 +58,12 @@ def test_truncated_state_validation():
     for wrong in (np.eye(3) / 3.0, np.full((2, 3), 0.5), np.array([0.5, 0.5])):
         with pytest.raises(ValueError, match="expected a 2x2 density matrix"):
             fock.TruncatedState(2, wrong, 0.0)
+    # a NaN or inf entry, on the diagonal or off it, fails the trace or Hermiticity test
+    nan_off = rho.copy()
+    nan_off[0, 1] = np.nan
+    for broken in (np.full((2, 2), np.nan), nan_off, np.diag([np.inf, 0.3])):
+        with pytest.raises(ValueError, match="non-finite"):
+            fock.TruncatedState(2, broken, 0.0)
 
 
 # 95 and 321 give squeeze chains of both parities with even and odd lengths,
@@ -315,6 +321,14 @@ def test_oracle_table_holds_every_level_asked_for():
         fock.oracle_bar_state(p, 0.5, dim=0)
     with pytest.raises(ValueError, match=f"n_max {fock.GROWTH_MAX_DIM} needs a cutoff past"):
         fock.oracle_pn_table(p, 0.5, fock.GROWTH_MAX_DIM)
+
+
+def test_oracle_rejects_an_explicit_cutoff_whose_marginal_overflows():
+    # at gamma_t = 0 the marginal's weights (c^2 dim)^k / k! overflow past a
+    # cutoff of ~709, so its trace is NaN; the table must raise, not print NaNs
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"trace must be 1, got \(nan.*non-finite"):
+            fock.oracle_pn_table(GwSignalParams(alpha=0.3), 0.0, 5, dim=800)
 
 
 def test_oracle_reaches_past_max_dim_at_the_anti_squeezed_corner():

@@ -1,7 +1,5 @@
 import ast
-import importlib.util
 import io
-import json
 import re
 import subprocess
 import sys
@@ -94,47 +92,3 @@ def test_public_names_serve_a_caller():
                 unused.append(f"{path.stem}.{match.group(1)}")
     assert not unused, unused
 
-
-def test_compare_outputs_lists_every_difference_by_subcommand(monkeypatch, tmp_path, capsys):
-    # the two checkouts' worker lists are canned, so no checkout runs
-    path = ROOT / "scripts" / "compare_outputs.py"
-    spec = importlib.util.spec_from_file_location("compare_outputs", path)
-    compare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare)
-    parent = [
-        ("seed 901 probs-0 csv", "probs", "a", 0),
-        ("seed 901 g2-1 csv", "g2", "b", 0),
-        ("seed 901 probs-0 rejected", "probs", "c", 1),
-        ("seed 901 tomo-2 json", "tomo", "d", 0),
-        ("seed 902 probs-3 json", "probs", "e", 0),
-        ("seed 901 oracle-0-0 table", "oracle", "f", 0),
-        ("seed 901 oracle-0-0 moments", "oracle", "g", 0),
-    ]
-    change = list(parent)
-    for i in (0, 1, 2, 4, 6):
-        label, command, _, code = parent[i]
-        change[i] = (label, command, "moved", code)
-    assert compare.differing(parent, parent) == {}
-    assert compare.differing(parent, change) == {
-        "probs": ["seed 901 probs-0 csv", "seed 901 probs-0 rejected", "seed 902 probs-3 json"],
-        "g2": ["seed 901 g2-1 csv"],
-        "oracle": ["seed 901 oracle-0-0 moments"],
-    }
-
-    def worker(cmd, **_):
-        side = parent if cmd[-2] == "parent" else change
-        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(side))
-
-    monkeypatch.setattr(compare.subprocess, "run", worker)
-    sides = {"parent": Path("parent"), "change": Path("change")}
-    assert compare.compare_ops(sides, tmp_path) is False
-    printed = capsys.readouterr().out
-    assert "probs: 3 differ\n  seed 901 probs-0 csv\n" in printed and "g2: 1 differ" in printed
-    assert "oracle: 1 differ\n  seed 901 oracle-0-0 moments\n" in printed
-    assert "5 of 7 outputs differ" in printed
-    change[:] = parent
-    (tmp_path / "again").mkdir()
-    assert compare.compare_ops(sides, tmp_path / "again") is True
-    printed = capsys.readouterr().out
-    assert "sweeps ops: identical (5 outputs" in printed
-    assert "oracle draws: identical (1 P_n tables and 1 moment triples" in printed
