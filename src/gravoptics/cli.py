@@ -391,20 +391,18 @@ def _flat(values) -> list[np.ndarray]:
 def _over_grid(cfg: ScenarioConfig, columns: dict, evaluate):
     """evaluate(columns, wave) of the checked wave over the grid columns.
 
-    A per-point loop stops at the first point that is rejected or fails.
-    When the check rejects point k, the points before k are evaluated first
-    as flat columns, so that a failure among them comes first, as it would
-    in that loop.
+    A grid that is rejected or fails anywhere is replayed one point at a
+    time in grid order, with Python floats, through the single-state path:
+    the first point that raises is the error, as in a per-point loop.  The
+    grid's own error stands if no point raises.
     """
     try:
-        wave = cfg.wave(columns)
-    except ConfigError as exc:
-        point = getattr(exc.__cause__, "point", 0)
-        if point:
-            before = [x[:point] for x in _flat(columns.values())]
-            _over_grid(cfg, dict(zip(columns, before)), evaluate)
+        return evaluate(columns, cfg.wave(columns))
+    except (ConfigError, ValueError):
+        for values in zip(*(x.tolist() for x in _flat(columns.values()))):
+            point = dict(zip(columns, values))
+            evaluate(point, cfg.wave(point))
         raise
-    return evaluate(columns, wave)
 
 
 @dataclass
@@ -828,7 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="JSON scenario config")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", default=None, choices=("csv", "json"))
-        sp.add_argument("--seed", type=int, default=None, help="noise-injection seed")
+        if name in ("tomo", "oracle-check"):  # no other subcommand draws random numbers
+            sp.add_argument("--seed", type=int, default=None, help="random-draw seed")
         if name == "oracle-check":
             sp.add_argument(
                 "--inject-fault",

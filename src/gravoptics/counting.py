@@ -34,7 +34,6 @@ from .states import (
     GwSignalParams,
     LadderMoments,
     each,
-    entry,
     raise_first_failure,
 )
 
@@ -216,9 +215,8 @@ def pn_series(sc: DetectorScalars, n_max: int) -> list:
     The fields of ``sc`` are floats, giving a list of floats, or arrays that
     broadcast to a grid, giving one array per level.  An array entry has the
     bits of the scalar call: the arithmetic is elementwise in the same order
-    (``sum`` adds left to right) and log1p and exp come from ``math``.  A
-    failing level raises at the first failing point in grid order, lowest n
-    first, as a loop of scalar calls would.
+    (``sum`` adds left to right) and log1p and exp come from ``math``.  The
+    lowest failing level raises (``states.raise_first_failure``).
     """
     a = sc.ntilde + sc.m
     qa, qd = 1.0 + a, 1.0 + sc.d
@@ -236,9 +234,7 @@ def pn_series(sc: DetectorScalars, n_max: int) -> list:
         f.append(sum(jg[j] * f[k - j] for j in range(1, k + 1)) / k)
     # the checks of _probability_fault at imag 0: finite, and not below -NEGATIVE_CLAMP
     ok = [(abs(value) < math.inf) & (value >= -NEGATIVE_CLAMP) for value in f]
-    raise_first_failure(
-        ok, lambda n, i: f"P_{n} (generating): {_probability_fault(entry(f[n], i), 0.0)}"
-    )
+    raise_first_failure(ok, lambda n: f"P_{n} (generating): {_probability_fault(f[n], 0.0)}")
     return [np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0.0) for v in f]
 
 
@@ -379,11 +375,11 @@ def delta_pn(sc: DetectorScalars, n_max: int) -> DeltaPn:
     ``sc`` are the detector's scalars after exchange evolution, floats for
     one state or arrays that broadcast to a grid; each returned array has
     their broadcast shape with n as a last axis.  P_n comes from the log-G
-    series (``pn_series``), which raises at the first failing P_n in grid
-    order.  The coherent reference carries the same mean count
-    lambda = b2 + ntilde, so P_{n,c} is the Poisson law of lambda.  Where the
-    input is coherent (ntilde = m = 0) the reference is P_n itself, so the
-    difference and the ratio are exactly zero.
+    series (``pn_series``), which raises at the first failing P_n.  The
+    coherent reference carries the same mean count lambda = b2 + ntilde, so
+    P_{n,c} is the Poisson law of lambda.  Where the input is coherent
+    (ntilde = m = 0) the reference is P_n itself, so the difference and the
+    ratio are exactly zero.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -450,7 +446,7 @@ def scaled_state(x_total, fraction_q, split: str, gamma_t):
         (gamma_t > 0.0) | (gamma_t != gamma_t),
         gamma_t * gamma_t != 0.0,
     ]
-    raise_first_failure(ok, lambda k, i: messages[k].format(entry(gamma_t, i)))
+    raise_first_failure(ok, lambda k: messages[k].format(gamma_t))
     n_grav = x_total / (gamma_t * gamma_t)
     n_q = fraction_q * n_grav
     alpha = np.sqrt(np.maximum(n_grav - n_q, 0.0))

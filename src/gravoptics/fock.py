@@ -277,6 +277,23 @@ def _skew(buffer: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return np.lib.stride_tricks.as_strided(buffer, (dim, dim), (row + item, item))
 
 
+def _marginal_weights(gamma_t: float, dim: int) -> NDArray[np.float64]:
+    """The weights w_k = (c^2 dim)^k / k!, k < dim, c = cos gamma_t, of ``evolved_bar_density``.
+
+    Raises where one overflows, which at c near 1 is past a cutoff of ~709.
+    """
+    c = math.cos(gamma_t)
+    # cumulative products rather than logs, so c = 0 needs no special case
+    with np.errstate(over="ignore"):
+        w = np.cumprod(np.concatenate(([1.0], (c * c * dim) / np.arange(1.0, dim))))
+    if not np.isfinite(w).all():
+        raise ValueError(
+            f"cutoff dim {dim} at gamma_t {gamma_t}: the marginal's weights "
+            "(cos^2 gamma_t dim)^k / k! overflow"
+        )
+    return w
+
+
 def evolved_bar_density(
     gw: TruncatedState, gamma_t: float
 ) -> tuple[NDArray[np.complex128], float]:
@@ -296,11 +313,11 @@ def evolved_bar_density(
     """
     dim = gw.dim
     lam = math.sqrt(dim)
-    c, s = math.cos(gamma_t), math.sin(gamma_t)
+    s = math.sin(gamma_t)
     levels = np.arange(1.0, dim)
-    # cumulative products rather than logs, so c = 0 or s = 0 needs no special case
+    w = _marginal_weights(gamma_t, dim)
+    # cumulative products rather than logs, so s = 0 needs no special case
     scale = np.cumprod(np.concatenate(([1.0], np.sqrt(levels) / lam)))  # sqrt(i!) lam^-i
-    w = np.cumprod(np.concatenate(([1.0], (c * c * dim) / levels)))
     b = np.cumprod(np.concatenate(([1.0 + 0j], (-1j * s * lam) / np.sqrt(levels))))
 
     buffer = np.zeros((dim, 2 * dim), dtype=complex)
@@ -330,6 +347,8 @@ def oracle_bar_state(
     tail_tol: float = DEFAULT_TAIL_TOL,
     min_dim: int = MIN_DIM,
 ) -> TruncatedState:
+    if dim is not None:
+        _marginal_weights(gamma_t, dim)  # before any density is built on that cutoff
     gw = _gw_density(p, dim, tail_tol, min_dim)
     rho_bar, tail = evolved_bar_density(gw, gamma_t)
     rho_bar /= np.trace(rho_bar).real

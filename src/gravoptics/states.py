@@ -139,50 +139,20 @@ class SymplecticMap:
         return self.matrix.shape[0] // 2
 
 
-class PointError(ValueError):
-    """A state check failed; ``point`` is the first failing grid point (0 for one state)."""
-
-    def __init__(self, message: str, point: int = 0):
-        super().__init__(message)
-        self.point = point
-
-
 def raise_first_failure(ok: list, message) -> None:
-    """Raise the first failing check of the first failing point, as a per-point loop would.
+    """Raise ValueError(message(k)) for the first failing check k.
 
     ``ok`` holds one flag per check, in the order one state is checked: a
-    bool for one state, or bools and bool arrays that broadcast to the grid.
-    The grid is searched in C order, which is grid order.  ``message(k, i)``
-    words check k failing at the grid index i (None for one state).
+    bool for one state, or bools and bool arrays over a grid.  An array flag
+    that fails anywhere raises without naming a point; ``cli`` replays such a
+    grid point by point to find it.
     """
-    if not any(isinstance(flag, np.ndarray) for flag in ok):
-        if not all(ok):
-            raise PointError(message(ok.index(False), None))
-        return
-    shape = np.broadcast_shapes(*map(np.shape, ok))
-    size = math.prod(shape)
-    first = [
-        (size if flag.all() else int(np.broadcast_to(flag, shape).argmin()))
-        if isinstance(flag, np.ndarray)
-        else (size if flag else 0)  # a bool holds at every point or at none
-        for flag in ok
-    ]
-    point = min(first)
-    if point < size:
-        raise PointError(message(first.index(point), np.unravel_index(point, shape)), point)
-
-
-def entry(x, i: tuple | None):
-    """The value of x at grid index i as a Python number, or x itself (i is None).
-
-    x is a scalar or an array that broadcasts to the grid; a scalar is the
-    same at every point.
-    """
-    if i is None:
-        return x
-    x = np.asarray(x)
-    index = i[len(i) - x.ndim :]
-    return x[tuple(k if n > 1 else 0 for k, n in zip(index, x.shape))].item()
+    for k, flag in enumerate(ok):
+        if isinstance(flag, np.ndarray):
+            if not flag.all():
+                raise ValueError(f"check {k} fails at a grid point")
+        elif not flag:
+            raise ValueError(message(k))
 
 
 def each(fn, x, dtype=float):
@@ -257,21 +227,18 @@ def check_wave(alpha, r, theta, nbar) -> None:
     mean = mag * mag + nu - 0.5
     wave = (("alpha", alpha), ("r", r), ("theta", theta), ("nbar", nbar))
 
-    def message(k: int, i: int | None) -> str:
+    def message(k: int) -> str:
         if k < 4:
             name, value = wave[k]
-            return f"{name} must be finite, got {entry(value, i)}"
+            return f"{name} must be finite, got {value}"
         if k == 4:
             return "squeezing magnitude r must be >= 0"
         if k == 5:
             return "thermal occupation nbar must be >= 0"
         if k == 6:  # the Wick and closed-form kernels square |mu| <= nu
-            return (
-                f"r = {entry(r, i)}, nbar = {entry(nbar, i)} overflows cosh(2r): "
-                "nu^2 must be finite"
-            )
+            return f"r = {r}, nbar = {nbar} overflows cosh(2r): nu^2 must be finite"
         # the Wick kernel squares <a†a>
-        return f"|alpha| = {entry(mag, i)} overflows: |alpha|^2 and <a†a>^2 must be finite"
+        return f"|alpha| = {mag} overflows: |alpha|^2 and <a†a>^2 must be finite"
 
     # a NaN r or nbar fails its finiteness check before the sign checks
     ok = [_finite(alpha), _finite(r), _finite(theta), _finite(nbar), r >= 0, nbar >= 0]

@@ -129,12 +129,16 @@ def snr_quadrature(p: GwSignalParams, lo: LocalOscillator, gamma_t: float) -> fl
 def separate_terms_by_beta(sweep: list[tuple[float, float]]) -> np.ndarray:
     """Least-squares split of total vs |beta| into per-order coefficients k = 0..4.
 
-    Needs at least five distinct |beta| values; returns the coefficient array
-    c with total ~= sum_k c[k] |beta|^k.
+    Needs at least five distinct finite |beta| values; returns the
+    coefficient array c with total ~= sum_k c[k] |beta|^k.
     """
     betas = np.asarray([b for b, _ in sweep], dtype=float)
     totals = np.asarray([v for _, v in sweep], dtype=float)
-    if len(np.unique(betas)) < 5:
+    values = betas.tolist()
+    for beta in values:
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
+    if len(set(values)) < 5:  # np.unique would import numpy.ma on a cold start
         raise ValueError("need >= 5 distinct beta values to separate orders 0..4")
     design = np.vander(betas, 5, increasing=True)
     coeffs, *_ = np.linalg.lstsq(design, totals, rcond=None)

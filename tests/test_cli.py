@@ -852,6 +852,44 @@ def test_probs_grid_error_matches_per_point_path(tmp_path, capsys, monkeypatch, 
     assert (captured.err, captured.out) == (expected[1], "")
 
 
+def test_grid_is_replayed_only_on_failure_and_only_up_to_the_failing_point(
+    tmp_path, capsys, monkeypatch
+):
+    # a passing grid checks its wave once, in one array pass; a failing one is
+    # replayed point by point, with floats, up to the first failing point
+    calls = []
+    wave = ScenarioConfig.wave
+
+    def recorded(self, columns):
+        calls.append(columns)
+        return wave(self, columns)
+
+    monkeypatch.setattr(ScenarioConfig, "wave", recorded)
+    path = tmp_path / "c.json"
+    sweep = [_axis("r", 0.0, 1.0, 4), _axis("nbar", 0.0, 1.0, 3)]
+    passing = [("probs", {**DESK_PROBS, "sweep": sweep}), ("g2", {"gw": POLAR, "sweep": sweep})]
+    for command, raw in passing:
+        calls.clear()
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 0
+        assert len(calls) == 1 and all(isinstance(x, np.ndarray) for x in calls[0].values())
+
+    failing = [
+        # nu^2 overflows from the third r on: rejected, exit 1
+        (_axis("r", 0.1, 400.1, 5), 2, 1),
+        # the second alpha_mag is the vacuum, whose g2 is undefined: exit 2
+        (_axis("alpha_mag", 1.0, -2.0, 4), 1, 2),
+    ]
+    for axis, k, code in failing:
+        calls.clear()
+        path.write_text(json.dumps({"gw": {"alpha_mag": 1.0}, "sweep": [axis]}))
+        assert main(["g2", "--config", str(path)]) == code
+        values = np.linspace(axis["min"], axis["max"], axis["steps"])[: k + 1].tolist()
+        assert calls[1:] == [{axis["parameter"]: value} for value in values]
+        assert all(type(point[axis["parameter"]]) is float for point in calls[1:])
+    capsys.readouterr()
+
+
 def test_g2_grid_evaluates_each_axis_quantity_once_per_axis_value(tmp_path, monkeypatch):
     # the grid stays in broadcast shape: a quantity of one axis is mapped over
     # that axis alone, and an unswept one stays a scalar
@@ -926,6 +964,31 @@ assert not leaked, leaked
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tomo_does_not_import_numpy_ma(tmp_path):
+    """A fresh tomo process loads no numpy.ma, which np.unique would import (~30 ms)."""
+    code = f"""
+import sys
+from gravoptics import cli
+argv = ["tomo", "--config", {str(SCRIPTS / "tomo_roundtrip.json")!r}, "--seed", "11"]
+assert cli.main(argv + ["--out", {str(tmp_path / "t.json")!r}]) == 0
+assert "numpy.ma" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    ("command", "config"),
+    [("probs", "fig2_probs.json"), ("g2", "fig3_g2.json"), ("physical", "weber_bar.json")],
+)
+def test_seed_is_an_unknown_flag_where_nothing_is_drawn(capsys, command, config):
+    # only tomo and oracle-check draw random numbers; elsewhere a seed would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(SCRIPTS / config), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t", [None, 0])

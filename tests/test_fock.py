@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,12 +324,17 @@ def test_oracle_table_holds_every_level_asked_for():
         fock.oracle_pn_table(p, 0.5, fock.GROWTH_MAX_DIM)
 
 
-def test_oracle_rejects_an_explicit_cutoff_whose_marginal_overflows():
+def test_oracle_rejects_an_explicit_cutoff_whose_marginal_overflows(monkeypatch):
     # at gamma_t = 0 the marginal's weights (c^2 dim)^k / k! overflow past a
-    # cutoff of ~709, so its trace is NaN; the table must raise, not print NaNs
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"trace must be 1, got \(nan.*non-finite"):
+    # cutoff of ~709; the table must raise, without a warning, before any
+    # density is built on that cutoff
+    built = []
+    monkeypatch.setattr(fock, "build_gw_density", lambda *args: built.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"cutoff dim 800 at gamma_t 0\.0: .* overflow"):
             fock.oracle_pn_table(GwSignalParams(alpha=0.3), 0.0, 5, dim=800)
+    assert built == []
 
 
 def test_oracle_reaches_past_max_dim_at_the_anti_squeezed_corner():

@@ -154,6 +154,19 @@ def test_separate_terms_round_trip():
         separate_terms_by_beta([(1.0, 0.0)] * 6)
 
 
+def test_separate_terms_rejects_a_non_finite_beta():
+    # a NaN never equals itself, so it must not count as a distinct beta
+    sweep = [(b, 0.0) for b in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"beta must be finite, got {bad}"):
+            separate_terms_by_beta([*sweep, (bad, 0.0)])
+    with pytest.raises(ValueError, match="beta must be finite, got nan"):
+        separate_terms_by_beta([(1.0, 0.0), *[(math.nan, 0.0)] * 5])
+    # -0.0 and 0.0 are one beta: four distinct values in six
+    with pytest.raises(ValueError, match="need >= 5 distinct beta values"):
+        separate_terms_by_beta([*sweep[:3], (1.5, 1.0), (-0.0, 0.0), (0.0, 0.0)])
+
+
 def test_reconstruction_round_trip():
     true = GwSignalParams(alpha=1.0, r=0.5, theta=0.7, nbar=0.2)
     gt, beta = 0.3, 1.7
