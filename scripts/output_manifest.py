@@ -7,11 +7,12 @@
 One in-process generator, ``outputs``, yields every pinned output with its
 label and subcommand, in this order: the five commands of
 ``scripts/reproduce_figure_data.sh`` (``figure``); every warm-up and op of
-``perfbench/workloads.sweeps_round``, once as CSV and once as JSON, each
-swept ``probs`` and ``g2`` op followed by a copy whose first rejectable axis
-ends past its valid range (``rejected``, ``PAST_RANGE``), so that the error a
-grid reports, and its order, are pinned too; the GATED inputs, whose error
-order no rejected copy shows; and the P_n table and (<n>, <n^2>, g2) triple
+``perfbench/workloads.sweeps_round``, once as CSV and once as JSON (a ``tomo``
+op once: it writes JSON only), each swept ``probs`` and ``g2`` op followed by
+a copy whose first rejectable axis ends past its valid range (``rejected``,
+``PAST_RANGE``), so that the error a grid reports, and its order, are pinned
+too; the GATED inputs, which reach what no figure, op or rejected copy does;
+and the P_n table and (<n>, <n^2>, g2) triple
 of each draw of ``perfbench/workloads.oracle_round``, in the benchmark's call
 order (subcommand ``oracle``).  An output's digest is the sha256 of its exit
 code, stdout and stderr, kept apart, so a byte moved from one stream to the
@@ -56,18 +57,43 @@ COMPARED = (range(901, 941), range(901, 911))
 FORMATS = ("csv", "json")
 # the end of a rejected-grid axis: past [0, 1], below 0, |alpha|^2 overflows
 PAST_RANGE = {"fraction_q": 1.5, "r": -0.5, "nbar": -0.5, "alpha_mag": 1e200}
-# (label, subcommand, config): inputs whose error order a rejected copy cannot show
+# (label, subcommand and flags, config): inputs that reach what no figure, op or rejected copy does
 GATED = (
-    # the vacuum at the first point exits 2, before r = 400 overflows cosh(2r) (exit 1)
+    # an error order: the vacuum at the first point exits 2, before r = 400
+    # overflows cosh(2r) (exit 1)
     (
         "g2 vacuum-before-overflow",
-        "g2",
+        ["g2"],
         {
             "gw": {"alpha_mag": 0.0},
             "sweep": [
                 {"parameter": "r", "min": 0.0, "max": 400.0, "steps": 3},
                 {"parameter": "nbar", "min": 0.0, "max": 1.0, "steps": 2},
             ],
+        },
+    ),
+    # tomography.snr_quadrature: a noisy round trip whose phi = 0 quadrature
+    # has a positive normal-ordered variance (theta = pi), so a drive can be
+    # matched; the seed fixes the noise draws
+    (
+        "tomo matched-snr",
+        ["tomo", "--seed", "11"],
+        {
+            "gw": {"alpha_mag": 1.0, "r": 0.5, "theta": 3.141592653589793, "nbar": 0.2},
+            "detector": {"gamma_t": 0.3},
+            "noise": {"epsilon": 0.001},
+        },
+    ),
+    # cli._complex: a wave given by alpha_re and alpha_im, swept so that alpha
+    # is a grid column
+    (
+        "probs cartesian-alpha",
+        ["probs"],
+        {
+            "gw": {"alpha_im": 0.4, "r": 0.3, "theta": 0.9, "nbar": 0.2},
+            "detector": {"gamma_t": 0.8},
+            "sweep": [{"parameter": "alpha_re", "min": -1.0, "max": 1.0, "steps": 3}],
+            "n_max": 3,
         },
     ),
 )
@@ -155,14 +181,17 @@ def outputs(checkout: Path, work: Path, seeds, oracle_seeds):
         yield (f"figure {name}", *run([name, *argv]))
     for where, ops in rounds():
         for op in ops:
-            for fmt in FORMATS:
-                yield (f"{where} {op.key} {fmt}", *run([*op.argv, "--format", fmt]))
+            if op.kind == "tomo":  # one JSON document, and no --format flag
+                yield (f"{where} {op.key} json", *run(op.argv))
+            else:
+                for fmt in FORMATS:
+                    yield (f"{where} {op.key} {fmt}", *run([*op.argv, "--format", fmt]))
             config = rejected(op.config) if op.kind in ("probs", "g2") else None
             if config is not None:
                 path = config_file(f"{op.key}-rejected", config)
                 yield (f"{where} {op.key} rejected", *run([op.kind, "--config", path]))
-    for label, command, config in GATED:
-        yield (f"gated {label}", *run([command, "--config", config_file("gated", config)]))
+    for label, args, config in GATED:
+        yield (f"gated {label}", *run([*args, "--config", config_file("gated", config)]))
     for seed in oracle_seeds:
         for op in workloads.oracle_round(seed):
             prm, label = op.params, f"seed {seed} {op.key}"

@@ -30,8 +30,6 @@ from .dynamics import (
     OpenChannelParams,
     beamsplitter_map,
     bar_marginal,
-    beyond_rwa_coefficients,
-    beyond_rwa_symplectic,
     detuned_coefficients,
     evolve_closed,
     evolve_open,
@@ -44,7 +42,6 @@ from .states import (
     LadderMoments,
     SymplecticMap,
     apply_symplectic,
-    from_ladder,
     make_gw_state,
     make_vacuum,
     reduce_modes,

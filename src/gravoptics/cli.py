@@ -564,6 +564,8 @@ def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
 def cmd_tomo(cfg: ScenarioConfig, args) -> dict:
     if cfg.sweep:
         raise ConfigError("sweep: tomo runs one round trip and reads no sweep axes")
+    if cfg.output.get("format", "json") != "json":
+        raise ConfigError("output.format: tomo writes JSON only")
     gamma_t = cfg.gamma_t({})
     p = GwSignalParams(*cfg.wave({}))
     beta_mag = float(cfg.extra.get("beta_mag", 2.0))
@@ -825,7 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=descr)
         sp.add_argument("--config", default=None, help="JSON scenario config")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", default=None, choices=("csv", "json"))
+        if name != "tomo":  # tomo writes one JSON document
+            sp.add_argument("--format", default=None, choices=("csv", "json"))
         if name in ("tomo", "oracle-check"):  # no other subcommand draws random numbers
             sp.add_argument("--seed", type=int, default=None, help="random-draw seed")
         if name == "oracle-check":
@@ -842,7 +845,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        fmt = args.format or cfg.output.get("format", "csv")
         out_path = args.out or cfg.output.get("path")
 
         ok = True
@@ -859,7 +861,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "tomo":
                 out.write(text)
             else:
-                _emit(header, rows, out, fmt)
+                _emit(header, rows, out, args.format or cfg.output.get("format", "csv"))
         return EXIT_OK if ok else EXIT_NUMERICAL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

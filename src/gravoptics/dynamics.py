@@ -1,8 +1,8 @@
 """Evolution of the wave-detector mode pair.
 
-Covers the resonant excitation-exchange (beamsplitter) dynamics, detuned and
-counter-rotating solutions, Markovian open dynamics of the detector mode, and
-the squeezing-transfer diagnostic. The dimensionless product ``gamma_t``
+Covers the resonant excitation-exchange (beamsplitter) dynamics, the detuned
+rotating-frame solution, Markovian open dynamics of the detector mode, and the
+squeezing-transfer diagnostic. The dimensionless product ``gamma_t``
 (coupling times time) is the evolution parameter everywhere; physical rates
 only enter through :class:`CouplingContext` and the CLI layer.
 """
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .states import (
     GaussianState,
@@ -40,15 +39,6 @@ class CouplingContext:
     def __post_init__(self):
         if self.gamma_g < 0:
             raise ValueError("gamma_g must be >= 0")
-
-    @property
-    def detuning(self) -> float:
-        """Delta = omega_ell - nu."""
-        return self.omega_ell - self.nu
-
-    @property
-    def gamma_t(self) -> float:
-        return self.gamma_g * self.t
 
 
 @dataclass(frozen=True)
@@ -148,81 +138,6 @@ def detuned_coefficients(ctx: CouplingContext) -> DetunedCoefficients:
     g_plus = math.cos(half) - 1j * delta * sinc
     g_minus = math.cos(half) + 1j * delta * sinc
     return DetunedCoefficients(f, g_plus, g_minus, phase)
-
-
-class BeyondRwaCoefficients(NamedTuple):
-    """Counter-rotating solution pieces at resonance (delta = 0)."""
-
-    a_coef: complex  # A: a†(0) weight in a(t) (times 1/2)
-    b_coef: complex  # B
-    d_coef: complex  # D: b†(0) weight in a(t) (times 1/2)
-    e_coef: complex  # E
-    omega_plus: float
-    omega_minus: float
-    omega_g: float
-
-
-def beyond_rwa_coefficients(ctx: CouplingContext) -> BeyondRwaCoefficients:
-    """Exact mode-map coefficients without the rotating-wave approximation.
-
-    Valid at resonance for delta_g = 2 gamma / omega < 1.  The normal-mode
-    frequencies are Omega_± = omega sqrt(1 ± delta_g), omega_g =
-    omega sqrt(1 - delta_g^2).
-    """
-    omega = ctx.omega_ell
-    if abs(ctx.detuning) > 1e-9 * max(abs(omega), 1.0):
-        raise ValueError("beyond-RWA coefficients are derived at resonance only")
-    delta_g = 2.0 * ctx.gamma_g / omega
-    if delta_g >= 1.0:
-        raise ValueError(f"delta_g = {delta_g} >= 1: outside the formulas' validity")
-    om_p = omega * math.sqrt(1.0 + delta_g)
-    om_m = omega * math.sqrt(1.0 - delta_g)
-    om_g = omega * math.sqrt(1.0 - delta_g**2)
-    t = ctx.t
-    sp, sm = math.sin(om_p * t), math.sin(om_m * t)
-    g = ctx.gamma_g
-    a = 1j * (g / om_g) * ((om_p / omega) * sm - (om_m / omega) * sp)
-    b = -1j / om_g * (om_p * sm + om_m * sp)
-    d = -1j * (g / om_g) * ((om_p / omega) * sm + (om_m / omega) * sp)
-    e = 1j / om_g * (om_p * sm - om_m * sp)
-    return BeyondRwaCoefficients(a, b, d, e, om_p, om_m, om_g)
-
-
-def beyond_rwa_ladder_map(ctx: CouplingContext) -> NDArray[np.complex128]:
-    """4x4 mode map on (a, a†, b, b†) built from the counter-rotating solution.
-
-    The two displayed solutions in the source derivation carry the same label;
-    the second is read as b(t) by mode symmetry, and the dagger couplings are
-    assigned as a†(0) -> A, b†(0) -> D, the unique reading that passes the
-    symplecticity test (the printed swap does not).
-    """
-    co = beyond_rwa_coefficients(ctx)
-    t = ctx.t
-    cp, cm = math.cos(co.omega_plus * t), math.cos(co.omega_minus * t)
-    caa = 0.5 * (cp + cm + co.a_coef + co.b_coef)
-    caad = 0.5 * co.a_coef
-    cab = 0.5 * (cp - cm + co.d_coef + co.e_coef)
-    cabd = 0.5 * co.d_coef
-    row_a = np.array([caa, caad, cab, cabd])
-    row_b = np.array([cab, cabd, caa, caad])
-    tmat = np.empty((4, 4), dtype=complex)
-    tmat[0] = row_a
-    tmat[1] = np.conj(row_a[[1, 0, 3, 2]])
-    tmat[2] = row_b
-    tmat[3] = np.conj(row_b[[1, 0, 3, 2]])
-    return tmat
-
-
-def beyond_rwa_symplectic(ctx: CouplingContext) -> SymplecticMap:
-    """Quadrature-basis symplectic matrix of the counter-rotating evolution."""
-    from .states import ladder_transform
-
-    tmat = beyond_rwa_ladder_map(ctx)
-    w = ladder_transform(2)
-    s = w.conj().T @ tmat @ w
-    if np.max(np.abs(s.imag)) > 1e-9:
-        raise ValueError("beyond-RWA map has a non-real quadrature representation")
-    return SymplecticMap(s.real)
 
 
 def evolve_open(

@@ -383,17 +383,6 @@ def to_ladder(state: GaussianState) -> LadderMoments:
     return LadderMoments(state.num_modes, sigma, m @ state.disp.astype(complex))
 
 
-def from_ladder(moments: LadderMoments) -> GaussianState:
-    """Inverse of :func:`to_ladder` (imaginary residue must be roundoff)."""
-    m = ladder_transform(moments.num_modes)
-    minv = m.conj().T  # M is unitary
-    cov = minv @ moments.sigma @ minv.T
-    disp = minv @ moments.abar
-    if np.max(np.abs(cov.imag)) > 1e-10 or np.max(np.abs(disp.imag)) > 1e-10:
-        raise ValueError("ladder moments do not describe a real quadrature state")
-    return GaussianState(moments.num_modes, cov.real, disp.real)
-
-
 def apply_symplectic(state: GaussianState, m: SymplecticMap) -> GaussianState:
     """Evolve: cov -> S cov S^T, disp -> S disp + m.displacement."""
     if m.num_modes != state.num_modes:

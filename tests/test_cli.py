@@ -427,6 +427,8 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
         ({"gw": {"alpha_mag": True}}, "gw.alpha_mag"),
         ({"subcommand": "g2", "gw": {"x_total": 1.0, "fraction_q": "0.1"}}, "gw.fraction_q"),
         ({"gw": {"alpha_mag": 10**400}}, "gw.alpha_mag"),
+        # tomo writes JSON only
+        ({"subcommand": "tomo", "output": {"format": "csv"}}, "output.format"),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):
@@ -981,14 +983,21 @@ assert "numpy.ma" not in sys.modules
 
 @pytest.mark.parametrize(
     ("command", "config"),
-    [("probs", "fig2_probs.json"), ("g2", "fig3_g2.json"), ("physical", "weber_bar.json")],
+    [
+        ("probs", "fig2_probs.json"),
+        ("g2", "fig3_g2.json"),
+        ("physical", "weber_bar.json"),
+        ("tomo", "tomo_roundtrip.json"),
+    ],
 )
 def test_seed_is_an_unknown_flag_where_nothing_is_drawn(capsys, command, config):
-    # only tomo and oracle-check draw random numbers; elsewhere a seed would be ignored
+    # only tomo and oracle-check draw random numbers; elsewhere a seed would be
+    # ignored.  Likewise tomo writes JSON only, so it has no --format.
+    flag = "--format" if command == "tomo" else "--seed"
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(SCRIPTS / config), "--seed", "1"])
+        main([command, "--config", str(SCRIPTS / config), flag, "1"])
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t", [None, 0])

@@ -4,12 +4,15 @@ The figure data, the benchmark's sweeps warm-ups and ops of two seeds in CSV
 and JSON, their rejected-grid copies, the gated inputs and the Fock oracle's
 draws of two seeds are regenerated in-process; the test names the first
 output whose exit code or digest (exit code, stdout and stderr, kept apart)
-differs.  A change that moves bytes on purpose regenerates the manifest with
-``python3 scripts/output_manifest.py --write``.  The tool's ``--compare`` is
-checked on canned worker rows, and ``scripts/reproduce_figure_data.sh``
-against the generator's figure outputs.
+differs.  The same run, profiled, is the census of ``test_tooling.census``:
+each def of the package that no pinned output runs is named, unless a
+tracer target or a ``REFERENCES`` entry keeps it.  A change that moves bytes
+on purpose regenerates the manifest with ``python3 scripts/output_manifest.py
+--write``.  The tool's ``--compare`` is checked on canned worker rows, and
+``scripts/reproduce_figure_data.sh`` against the generator's figure outputs.
 """
 
+import cProfile
 import importlib.util
 import itertools
 import json
@@ -17,6 +20,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from gravoptics import cli
+from test_tooling import census
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_manifest.py"
 # the file reproduce_figure_data.sh writes for each figure output
@@ -41,10 +47,15 @@ def load_script():
 
 
 def test_outputs_match_manifest(tmp_path):
+    # one profiled run of the generator pins the bytes and takes the census;
+    # the run builds the parser, as a fresh process does, whatever ran before
     manifest = load_script()
     expected = json.loads(manifest.MANIFEST.read_text())
-    problem = manifest.first_difference(expected, manifest.build(tmp_path))
-    assert problem is None, problem
+    cli.build_parser.cache_clear()
+    profile = cProfile.Profile(builtins=False)  # the census reads Python calls only
+    problem = manifest.first_difference(expected, profile.runcall(manifest.build, tmp_path))
+    unserved = census(profile)
+    assert (problem, unserved) == (None, []), "\n".join(filter(None, [problem, *unserved]))
 
 
 def test_manifest_check_names_platform_and_first_output():

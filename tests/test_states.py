@@ -12,7 +12,6 @@ from gravoptics.states import (
     GwSignalParams,
     SymplecticMap,
     apply_symplectic,
-    from_ladder,
     ladder_transform,
     make_gw_state,
     make_vacuum,
@@ -90,15 +89,6 @@ def test_ladder_sigma_is_symmetric_not_hermitian():
     m = to_ladder(make_gw_state(GwSignalParams(alpha=0.5, r=0.6, theta=1.1, nbar=0.4)))
     assert np.max(np.abs(m.sigma - m.sigma.T)) < 1e-12
     assert np.max(np.abs(m.sigma - m.sigma.conj().T)) > 1e-3  # genuinely complex entries
-
-
-@given(params)
-@settings(max_examples=40)
-def test_ladder_round_trip(p):
-    state = make_gw_state(p)
-    back = from_ladder(to_ladder(state))
-    assert np.max(np.abs(back.cov - state.cov)) < 1e-13 * max(1.0, np.abs(state.cov).max())
-    assert np.max(np.abs(back.disp - state.disp)) < 1e-13
 
 
 def test_apply_symplectic_identity_and_errors():
