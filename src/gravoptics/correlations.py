@@ -9,7 +9,7 @@ where they disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +19,17 @@ from .states import DetectorScalars, GwSignalParams
 
 @dataclass(frozen=True)
 class G2Report:
-    """g2(0) evaluation with its ingredients and parameter echo.
+    """g2(0) evaluation with its ingredients.
 
     ``g2`` and ``g2_minus_1`` are None when the value is undefined (vacuum
-    0/0); the note then records why, instead of surfacing a NaN.
-    ``g2_minus_1`` is the Wick excess over <n>^2, not g2 - 1.0, so it keeps
-    its digits where g2 rounds to 1.
+    0/0), instead of surfacing a NaN.  ``g2_minus_1`` is the Wick excess
+    over <n>^2, not g2 - 1.0, so it keeps its digits where g2 rounds to 1.
     """
 
     g2: float | None
     g2_minus_1: float | None
     mean_n: float
     mean_n2: float
-    params: dict = field(default_factory=dict)
-    note: str = ""
 
 
 def wick_g2_minus_1(sc: DetectorScalars):
@@ -50,14 +47,14 @@ def wick_g2_minus_1(sc: DetectorScalars):
     return excess / square if mean_n > 0.0 and square != 0.0 else math.nan
 
 
-def _wick_g2(sc: DetectorScalars, params: dict, undefined: str) -> G2Report:
-    """g2 = 1 + excess / <n>^2 by Wick pairing; ``undefined`` is the note when <n> vanishes."""
+def _wick_g2(sc: DetectorScalars) -> G2Report:
+    """g2 = 1 + excess / <n>^2 by Wick pairing; None where <n> vanishes."""
     mean_n = sc.mean_n
     mean_n2 = sc.excess + mean_n * mean_n + mean_n
     g2_minus_1 = wick_g2_minus_1(sc)
     if not math.isfinite(g2_minus_1):  # zero or underflowed occupation, or an overflow
-        return G2Report(None, None, mean_n, mean_n2, params, undefined)
-    return G2Report(1.0 + g2_minus_1, g2_minus_1, mean_n, mean_n2, params)
+        return G2Report(None, None, mean_n, mean_n2)
+    return G2Report(1.0 + g2_minus_1, g2_minus_1, mean_n, mean_n2)
 
 
 def g2_ideal(p: GwSignalParams) -> G2Report:
@@ -66,9 +63,7 @@ def g2_ideal(p: GwSignalParams) -> G2Report:
     Computed from the characteristic-function moments (the oracle-certified
     route).  Undefined for the vacuum: the report then carries g2 = None.
     """
-    return _wick_g2(
-        p.detector_scalars(), {"params": p}, "vacuum input: g2 is 0/0 and convention-dependent"
-    )
+    return _wick_g2(p.detector_scalars())
 
 
 def g2_bar_after_evolution(p: GwSignalParams, gamma_t: float) -> G2Report:
@@ -80,11 +75,7 @@ def g2_bar_after_evolution(p: GwSignalParams, gamma_t: float) -> G2Report:
     covariance representation would lose the signal to rounding.
     """
     s = math.sin(gamma_t)
-    return _wick_g2(
-        p.detector_scalars(s * s),
-        {"params": p, "gamma_t": gamma_t},
-        "no detector excitation: g2 undefined",
-    )
+    return _wick_g2(p.detector_scalars(s * s))
 
 
 def g2_main_text_formula(p: GwSignalParams) -> float:
@@ -121,17 +112,13 @@ def g2_thermal_detector(p: GwSignalParams, n_th: float, gamma_t: float) -> G2Rep
 
     Computed from the evolved central moments
     (ntilde_bar = cos^2 n_th + sin^2 ntilde_gw).  At t = 0 with n_th = 0 the
-    value is the vacuum 0/0; the report flags the discontinuity instead of
-    returning a number.
+    value is the vacuum 0/0, a first-kind discontinuity: the report carries
+    g2 = None instead of a number.
     """
     if n_th < 0:
         raise ValueError("n_th must be >= 0")
     s, c = math.sin(gamma_t), math.cos(gamma_t)
-    return _wick_g2(
-        p.detector_scalars(s * s, added=c * c * n_th),
-        {"params": p, "n_th": n_th, "gamma_t": gamma_t},
-        "vacuum detector at t = 0: g2 has a first-kind discontinuity here",
-    )
+    return _wick_g2(p.detector_scalars(s * s, added=c * c * n_th))
 
 
 def g2_thermal_detector_closed_form(p: GwSignalParams, n_th: float, gamma_t: float) -> float:
@@ -173,25 +160,13 @@ def g2_open(
     Moments: ntilde_bar = e^{-kt} sin^2 ntilde_gw + (1 - e^{-kt}) nbar_env,
     mu_bar = e^{-kt} sin^2 mu_gw, abar_bar = e^{-kt/2} sin alpha.  Reduces to
     the ideal value at kappa = 0, and relaxes to the thermal value 2 as
-    kappa t grows.  The report echoes the heating-rate condition
-    Gamma_th t < n_gw (gamma_t)^2 with Gamma_th = kappa nbar_env.
+    kappa t grows.  Whether heating swamps the signal is
+    ``physical.noise_thresholds``' question, not this report's.
     """
     decay = math.exp(-ch.kappa * t)
     grow = -math.expm1(-ch.kappa * t)
     s = math.sin(gamma_t)
-    sc = p.detector_scalars(decay * (s * s), added=grow * ch.nbar)
-    gamma_th_t = ch.kappa * ch.nbar * t
-    signal = p.mean_occupation * gamma_t * gamma_t
-    params = {
-        "params": p,
-        "kappa_t": ch.kappa * t,
-        "nbar_env": ch.nbar,
-        "gamma_t": gamma_t,
-        "gamma_th_t": gamma_th_t,
-        "n_grav_gt2": signal,
-        "heating_condition_met": bool(gamma_th_t < signal),
-    }
-    return _wick_g2(sc, params, "no detector excitation: g2 undefined")
+    return _wick_g2(p.detector_scalars(decay * (s * s), added=grow * ch.nbar))
 
 
 def g2_open_closed_form(

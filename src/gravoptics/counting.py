@@ -85,15 +85,14 @@ def evolved_bar_moments(p: GwSignalParams, gamma_t: float) -> LadderMoments:
 
 @dataclass(frozen=True)
 class CountingMatrices:
-    """(Sigma_Q, A, F) bundle of the detection-probability formulas.
+    """(A, F) bundle of the detection-probability formulas, with their prefactor.
 
-    Sigma_Q is the Husimi covariance Sigma + I/2 in the Hermitian ladder
-    arrangement; A = X (I - Sigma_Q^{-1}); F = abar† Sigma_Q^{-1}.  The
+    With Sigma_Q the Husimi covariance Sigma + I/2 in the Hermitian ladder
+    arrangement, A = X (I - Sigma_Q^{-1}) and F = abar† Sigma_Q^{-1}.  The
     prefactor e^{-abar† Sigma_Q^{-1} abar / 2} / sqrt(det Sigma_Q) equals the
     no-click probability.
     """
 
-    sigma_q: NDArray[np.complex128]
     amat: NDArray[np.complex128]
     fvec: NDArray[np.complex128]
     log_prefactor: float
@@ -116,7 +115,7 @@ def counting_matrices(bar: LadderMoments) -> CountingMatrices:
     fvec = bar.abar.conj() @ inv
     quad = bar.abar.conj() @ inv @ bar.abar
     log_prefactor = -0.5 * quad.real - 0.5 * math.log(det.real)
-    return CountingMatrices(sigma_q, amat, fvec, log_prefactor)
+    return CountingMatrices(amat, fvec, log_prefactor)
 
 
 def loop_hafnian(b: NDArray[np.complex128]) -> complex:

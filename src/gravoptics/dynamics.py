@@ -24,8 +24,6 @@ from .states import (
     tensor,
 )
 
-VACUUM_INPUT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CouplingContext:
@@ -141,32 +139,24 @@ def detuned_coefficients(ctx: CouplingContext) -> DetunedCoefficients:
 
 
 def evolve_open(
-    gw: GaussianState,
-    bar: GaussianState,
-    gamma_t: float,
-    ch: OpenChannelParams,
-    t: float,
+    gw: GaussianState, gamma_t: float, ch: OpenChannelParams, t: float
 ) -> GaussianState:
     """Detector marginal under exchange evolution plus Markovian loss.
 
-    Closed form (detector starting in vacuum only):
+    Closed form for a detector starting in vacuum (cov_bar(0) = I/2):
     cov_bar(t) = e^{-kt} [cos^2 cov_bar(0) + sin^2 cov_gw(0)]
     + (1 - e^{-kt}) (nbar_env + 1/2) I, with the displacement scaled by
     e^{-kt/2} sin(gamma_t).
     """
-    if gw.num_modes != 1 or bar.num_modes != 1:
-        raise ValueError("evolve_open expects two single-mode inputs")
-    if (
-        np.max(np.abs(bar.cov - 0.5 * np.eye(2))) > VACUUM_INPUT_TOL
-        or np.max(np.abs(bar.disp)) > VACUUM_INPUT_TOL
-    ):
-        raise ValueError("evolve_open requires a vacuum detector input")
+    if gw.num_modes != 1:
+        raise ValueError("evolve_open expects a single-mode wave")
     if t < 0:
         raise ValueError("t must be >= 0")
     decay = math.exp(-ch.kappa * t)
     c2 = math.cos(gamma_t) ** 2
     s2 = math.sin(gamma_t) ** 2
-    cov = decay * (c2 * bar.cov + s2 * gw.cov) + (1.0 - decay) * (ch.nbar + 0.5) * np.eye(2)
+    vacuum = make_vacuum(1).cov
+    cov = decay * (c2 * vacuum + s2 * gw.cov) + (1.0 - decay) * (ch.nbar + 0.5) * np.eye(2)
     disp = math.sqrt(decay) * math.sin(gamma_t) * gw.disp
     return GaussianState(1, cov, disp)
 
@@ -218,25 +208,20 @@ class SqueezingTransfer(NamedTuple):
     theta_min: float
 
 
-def squeezing_transfer_variance(
-    r: float, gamma_t: float, theta: float = 0.0
-) -> SqueezingTransfer:
-    """Extremal detector quadrature variances for a squeezed-vacuum wave input.
+def squeezing_transfer_variance(r: float, gamma_t: float) -> SqueezingTransfer:
+    """Extremal detector quadrature variances for a squeezed-vacuum wave input (theta = 0).
 
     min = [1 + sin^2(gamma_t)(e^{-2r} - 1)] / 2 and
     max = [1 + sin^2(gamma_t)(e^{+2r} - 1)] / 2, with theta_min the rotated
     quadrature angle (mod pi) attaining the minimum in the raw Heisenberg
-    frame (the incoming quadratures arrive quarter-turned, so squeezing along
-    the wave's x lands on the detector's p).  Full transfer at gamma_t = pi/2
-    leaves the detector with variance e^{-2r}/2.
+    frame: the incoming quadratures arrive quarter-turned, so the wave's
+    squeezing along x lands on the detector's p, theta_min = pi/2.  Full
+    transfer at gamma_t = pi/2 leaves the detector with variance e^{-2r}/2.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     s2 = math.sin(gamma_t) ** 2
     min_var = 0.5 * (1.0 + s2 * math.expm1(-2.0 * r))
     max_var = 0.5 * (1.0 + s2 * math.expm1(2.0 * r))
-    if r == 0.0 or s2 == 0.0:
-        theta_min = 0.0
-    else:
-        theta_min = (0.5 * theta + 0.5 * math.pi) % math.pi
+    theta_min = 0.0 if r == 0.0 or s2 == 0.0 else 0.5 * math.pi
     return SqueezingTransfer(min_var, max_var, theta_min)

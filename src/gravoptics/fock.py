@@ -199,15 +199,11 @@ def _tail_decay_ratio(p: GwSignalParams) -> float:
     return mu / det + (1.0 - w / det)
 
 
-def _gw_density(
-    p: GwSignalParams, dim: int | None, tail_tol: float, min_dim: int = MIN_DIM
-) -> TruncatedState:
-    """Wave density on dim, or on the smallest acceptable cutoff from min_dim up if dim is None.
+def _gw_density(p: GwSignalParams, tail_tol: float, min_dim: int = MIN_DIM) -> TruncatedState:
+    """Wave density on the smallest acceptable cutoff from min_dim up.
 
     The adaptive search keeps the density it accepts, so callers build it once.
     """
-    if dim is not None:
-        return build_gw_density(p, dim, tail_tol)
     mean = p.mean_occupation
     q = _tail_decay_ratio(p)
     if q > 1e-3:
@@ -343,13 +339,10 @@ def evolved_bar_density(
 def oracle_bar_state(
     p: GwSignalParams,
     gamma_t: float,
-    dim: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
     min_dim: int = MIN_DIM,
 ) -> TruncatedState:
-    if dim is not None:
-        _marginal_weights(gamma_t, dim)  # before any density is built on that cutoff
-    gw = _gw_density(p, dim, tail_tol, min_dim)
+    gw = _gw_density(p, tail_tol, min_dim)
     rho_bar, tail = evolved_bar_density(gw, gamma_t)
     rho_bar /= np.trace(rho_bar).real
     return TruncatedState(gw.dim, rho_bar, tail)
@@ -360,9 +353,9 @@ _last_populations: tuple[tuple, NDArray[np.complex128]] | None = None
 
 
 def _bar_populations(
-    p: GwSignalParams, gamma_t: float, dim: int | None, tail_tol: float, min_dim: int = MIN_DIM
+    p: GwSignalParams, gamma_t: float, tail_tol: float, min_dim: int = MIN_DIM
 ) -> NDArray[np.complex128]:
-    """Read-only diagonal of ``oracle_bar_state(p, gamma_t, dim, tail_tol, min_dim).rho``.
+    """Read-only diagonal of ``oracle_bar_state(p, gamma_t, tail_tol, min_dim).rho``.
 
     The latest one is kept, keyed by the exact bits of every input (so -0.0
     and 0.0 differ); a call that raises keeps nothing.  The complex diagonal
@@ -372,45 +365,34 @@ def _bar_populations(
     """
     global _last_populations
     numbers = (p.alpha.real, p.alpha.imag, p.r, p.theta, p.nbar, gamma_t, tail_tol)
-    key = (*(float(x).hex() for x in numbers), dim, min_dim)
+    key = (*(float(x).hex() for x in numbers), min_dim)
     if _last_populations is not None and _last_populations[0] == key:
         return _last_populations[1]
-    pops = np.diag(oracle_bar_state(p, gamma_t, dim, tail_tol, min_dim).rho).copy()
+    pops = np.diag(oracle_bar_state(p, gamma_t, tail_tol, min_dim).rho).copy()
     pops.flags.writeable = False
     _last_populations = key, pops
     return pops
 
 
-def oracle_pn_table(
-    p: GwSignalParams,
-    gamma_t: float,
-    n_max: int,
-    dim: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> NDArray[np.float64]:
+def oracle_pn_table(p: GwSignalParams, gamma_t: float, n_max: int) -> NDArray[np.float64]:
     """P_0..P_n_max of the detector marginal, on a cutoff that holds every one of them."""
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
-    if dim is not None and dim <= n_max:
-        raise ValueError(f"dim must exceed n_max {n_max}, got {dim}")
-    if dim is None and n_max >= GROWTH_MAX_DIM:
-        raise ValueError(f"n_max {n_max} needs a cutoff past {GROWTH_MAX_DIM}: pass dim")
-    pops = _bar_populations(p, gamma_t, dim, tail_tol, max(MIN_DIM, n_max + 1))
+    if n_max >= GROWTH_MAX_DIM:
+        raise ValueError(f"n_max {n_max} needs a cutoff past {GROWTH_MAX_DIM}")
+    pops = _bar_populations(p, gamma_t, DEFAULT_TAIL_TOL, max(MIN_DIM, n_max + 1))
     return pops.real[: n_max + 1].copy()
 
 
 def oracle_moments_and_g2(
-    p: GwSignalParams,
-    gamma_t: float,
-    dim: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    p: GwSignalParams, gamma_t: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> tuple[float, float, float]:
     """(<n>, <n^2>, g2) of the detector marginal; <n> = 0 raises.
 
     Reads the same latest checked marginal as ``oracle_pn_table``, so asking
     both of one state builds it once.
     """
-    pops = _bar_populations(p, gamma_t, dim, tail_tol).real
+    pops = _bar_populations(p, gamma_t, tail_tol).real
     levels = np.arange(len(pops))
     mean_n = float(levels @ pops)
     mean_n2 = float((levels**2) @ pops)
@@ -420,31 +402,23 @@ def oracle_moments_and_g2(
 
 
 def oracle_normal_moment(
-    p: GwSignalParams,
-    n_dagger: int,
-    n_plain: int,
-    dim: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    p: GwSignalParams, n_dagger: int, n_plain: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> complex:
     """<a†^j a^k> of the wave state itself (no evolution needed)."""
-    state = _gw_density(p, dim, tail_tol)
+    state = _gw_density(p, tail_tol)
     a = annihilation(state.dim).astype(complex)
     op = np.linalg.matrix_power(a.conj().T, n_dagger) @ np.linalg.matrix_power(a, n_plain)
     return complex(np.trace(state.rho @ op))
 
 
-def oracle_min_quadrature_variance(
-    p: GwSignalParams,
-    gamma_t: float,
-    dim: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> tuple[float, float]:
+def oracle_min_quadrature_variance(p: GwSignalParams, gamma_t: float) -> tuple[float, float]:
     """(min over rotation angle of Var q(theta), argmin) on the detector marginal.
 
-    Uses <x^2>, <p^2>, <{x, p}> of the evolved marginal; invariant under the
-    local phase convention, so directly comparable with the closed form.
+    Uses <x^2>, <p^2>, <{x, p}> of the evolved marginal, on a cutoff whose
+    tail mass is at most 1e-10; invariant under the local phase convention,
+    so directly comparable with the closed form.
     """
-    bar = oracle_bar_state(p, gamma_t, dim, tail_tol)
+    bar = oracle_bar_state(p, gamma_t, 1e-10)
     a = annihilation(bar.dim).astype(complex)
     x = (a + a.conj().T) / math.sqrt(2.0)
     pq = 1j * (a.conj().T - a) / math.sqrt(2.0)

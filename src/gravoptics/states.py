@@ -114,10 +114,9 @@ class LadderMoments:
 
 @dataclass(frozen=True)
 class SymplecticMap:
-    """Real symplectic matrix with an optional phase-space displacement."""
+    """Real symplectic matrix acting on a state's quadratures."""
 
     matrix: NDArray[np.float64]
-    displacement: NDArray[np.float64] | None = None
 
     def __post_init__(self):
         s = np.asarray(self.matrix, dtype=float)
@@ -127,12 +126,7 @@ class SymplecticMap:
         defect = np.max(np.abs(s @ omega @ s.T - omega))
         if defect > SYMPLECTIC_TOL:
             raise ValueError(f"matrix is not symplectic: defect {defect:.3e}")
-        disp = self.displacement
-        disp = np.zeros(s.shape[0]) if disp is None else np.asarray(disp, dtype=float)
-        if disp.shape != (s.shape[0],):
-            raise ValueError("displacement length must match matrix dimension")
         object.__setattr__(self, "matrix", s)
-        object.__setattr__(self, "displacement", disp)
 
     @property
     def num_modes(self) -> int:
@@ -384,7 +378,7 @@ def to_ladder(state: GaussianState) -> LadderMoments:
 
 
 def apply_symplectic(state: GaussianState, m: SymplecticMap) -> GaussianState:
-    """Evolve: cov -> S cov S^T, disp -> S disp + m.displacement."""
+    """Evolve: cov -> S cov S^T, disp -> S disp."""
     if m.num_modes != state.num_modes:
         raise ValueError(
             f"mode mismatch: map has {m.num_modes}, state has {state.num_modes}"
@@ -392,7 +386,7 @@ def apply_symplectic(state: GaussianState, m: SymplecticMap) -> GaussianState:
     s = m.matrix
     cov = s @ state.cov @ s.T
     cov = (cov + cov.T) / 2.0
-    return GaussianState(state.num_modes, cov, s @ state.disp + m.displacement)
+    return GaussianState(state.num_modes, cov, s @ state.disp)
 
 
 def tensor(*states: GaussianState) -> GaussianState:

@@ -189,14 +189,19 @@ def test_repeated_main_calls_do_not_share_state(capsys):
         assert out == alone.stdout
 
 
-def test_oracle_check_exit_codes():
-    proc = run_cli(["oracle-check"])
-    assert proc.returncode == 0
-    proc = run_cli(["oracle-check", "--inject-fault", "hafnian_vs_generating"])
-    assert proc.returncode == 2
-    assert "hafnian_vs_generating" in proc.stdout
-    failing = [line for line in proc.stdout.splitlines() if ",0," in line]
-    assert any("hafnian_vs_generating" in line for line in failing)
+def test_oracle_check_exit_codes(capsys, monkeypatch):
+    assert main(["oracle-check"]) == 0
+    passing = capsys.readouterr().out.splitlines()
+    # a real breach: the generating-function route off by 1e-6
+    generating = counting.prob_n_generating
+    monkeypatch.setattr(counting, "prob_n_generating", lambda bar, n: generating(bar, n) + 1e-6)
+    assert main(["oracle-check"]) == 2
+    failing = capsys.readouterr().out.splitlines()
+    assert len(failing) == len(passing)
+    changed = [row for row, before in zip(failing, passing) if row != before]
+    assert len(changed) == 1
+    name, _, _, passed, _ = changed[0].split(",")
+    assert (name, passed) == ("hafnian_vs_generating", "0")
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -429,12 +434,39 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
         ({"gw": {"alpha_mag": 10**400}}, "gw.alpha_mag"),
         # tomo writes JSON only
         ({"subcommand": "tomo", "output": {"format": "csv"}}, "output.format"),
+        # top-level keys the subcommand does not read
+        ({"beta_mag": 2.0}, "beta_mag"),
+        ({"h_strain": 1e-22}, "h_strain"),
+        ({"phases": 16}, "phases"),
+        ({"betas": [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]}, "betas"),
+        ({"noise": {"epsilon": 0.001}}, "noise"),
+        ({"subcommand": "g2", "n_max": 3}, "n_max"),
+        ({"subcommand": "g2", "noise": {"epsilon": 0.001}}, "noise"),
+        ({"subcommand": "g2", "beta_mag": 2.0}, "beta_mag"),
+        ({"subcommand": "tomo", "n_max": 3}, "n_max"),
+        ({"subcommand": "tomo", "h_strain": 1e-22}, "h_strain"),
+        ({"subcommand": "physical", "detector": WEBER, "gw": DESK_PROBS["gw"]}, "gw"),
+        (
+            {
+                "subcommand": "physical",
+                "detector": WEBER,
+                "sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": 3}],
+            },
+            "sweep",
+        ),
+        ({"subcommand": "physical", "detector": WEBER, "noise": {"epsilon": 0.001}}, "noise"),
+        ({"subcommand": "physical", "detector": WEBER, "n_max": 3}, "n_max"),
+        ({"subcommand": "oracle-check", "gw": DESK_PROBS["gw"]}, "gw"),
+        ({"subcommand": "oracle-check", "detector": DESK_PROBS["detector"]}, "detector"),
+        ({"subcommand": "oracle-check", "n_max": 3}, "n_max"),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):
-    # a case runs probs unless it names another subcommand
-    config = {**DESK_PROBS, **change}
-    command = config.pop("subcommand", "probs")
+    # a case runs probs unless it names another subcommand; the subcommands that
+    # read a wave start from DESK_PROBS, and physical and oracle-check from nothing
+    command = change.get("subcommand", "probs")
+    config = {**(DESK_PROBS if command in ("probs", "g2", "tomo") else {}), **change}
+    config.pop("subcommand", None)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1

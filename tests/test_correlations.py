@@ -60,7 +60,6 @@ def test_g2_landmarks():
 def test_g2_vacuum_undefined_variant():
     rep = g2_ideal(GwSignalParams())
     assert rep.g2 is None
-    assert "vacuum" in rep.note
     assert rep.mean_n == 0.0
 
 
@@ -151,7 +150,7 @@ def test_thermal_detector_reduction_and_bound():
 
 def test_thermal_detector_discontinuity_flag_and_t0():
     rep = g2_thermal_detector(GwSignalParams(alpha=1.0), 0.0, 0.0)
-    assert rep.g2 is None and "discontinuity" in rep.note
+    assert rep.g2 is None
     rep = g2_thermal_detector(GwSignalParams(alpha=1.0), 0.4, 0.0)
     assert abs(rep.g2 - 2.0) < 1e-12
 
@@ -187,15 +186,6 @@ def test_g2_open_limits_and_closed_form():
     for t in (0.2, 1.0):
         ch = OpenChannelParams(kappa=1.5, nbar=0.3)
         assert abs(g2_open(p, ch, 0.4, t).g2 - g2_open_closed_form(p, ch, 0.4, t)) < 1e-12
-
-
-def test_g2_open_heating_condition_report():
-    p = GwSignalParams(alpha=30.0)
-    ch = OpenChannelParams(kappa=0.01, nbar=1.0)
-    rep = g2_open(p, ch, 0.03, 1.0)
-    assert rep.params["gamma_th_t"] == pytest.approx(0.01)
-    assert rep.params["n_grav_gt2"] == pytest.approx(900.0 * 0.03**2)
-    assert rep.params["heating_condition_met"] == (0.01 < 900.0 * 0.03**2)
 
 
 @given(

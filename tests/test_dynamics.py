@@ -173,19 +173,12 @@ def test_evolve_open_limits():
     gw = make_gw_state(GwSignalParams(alpha=0.8, r=0.4, nbar=0.5))
     bar = make_vacuum(1)
     closed = bar_marginal(gw, bar, 0.7)
-    open0 = evolve_open(gw, bar, 0.7, OpenChannelParams(kappa=0.0, nbar=2.0), 1.0)
+    open0 = evolve_open(gw, 0.7, OpenChannelParams(kappa=0.0, nbar=2.0), 1.0)
     assert np.max(np.abs(open0.cov - closed.cov)) < 1e-12
     assert np.max(np.abs(open0.disp - closed.disp)) < 1e-12
-    late = evolve_open(gw, bar, 0.7, OpenChannelParams(kappa=50.0, nbar=0.3), 1.0)
+    late = evolve_open(gw, 0.7, OpenChannelParams(kappa=50.0, nbar=0.3), 1.0)
     np.testing.assert_allclose(late.cov, 0.8 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(late.disp, 0.0, atol=1e-10)
-
-
-def test_evolve_open_rejects_non_vacuum_bar():
-    gw = make_gw_state(GwSignalParams(alpha=0.8))
-    thermal_bar = make_gw_state(GwSignalParams(nbar=0.5))
-    with pytest.raises(ValueError):
-        evolve_open(gw, thermal_bar, 0.3, OpenChannelParams(1.0, 0.0), 1.0)
 
 
 def test_evolve_open_direct_formula_point():
@@ -193,7 +186,7 @@ def test_evolve_open_direct_formula_point():
     gt = math.asin(math.sqrt(0.1))
     gw = make_gw_state(GwSignalParams(nbar=3.0))
     ch = OpenChannelParams(kappa=1.0, nbar=0.2)
-    out = evolve_open(gw, make_vacuum(1), gt, ch, 1.0)
+    out = evolve_open(gw, gt, ch, 1.0)
     decay = math.exp(-1.0)
     expect = (decay * (0.9 * 0.5 + 0.1 * 3.5) + (1 - decay) * 0.7) * np.eye(2)
     np.testing.assert_allclose(out.cov, expect, atol=1e-14)
@@ -222,7 +215,7 @@ def test_lyapunov_oracle_matches_evolve_open_over_the_box():
         t = rng.uniform(0.1, 5.0)
         ch = OpenChannelParams(kappa=kt / t, nbar=rng.uniform(0.0, 2.0))
         gw = make_gw_state(p)
-        closed = evolve_open(gw, make_vacuum(1), gt, ch, t)
+        closed = evolve_open(gw, gt, ch, t)
         ode = lyapunov_bar_marginal(gw, gt, ch, t)
         err = max(np.max(np.abs(closed.cov - ode.cov)), np.max(np.abs(closed.disp - ode.disp)))
         assert err <= 1e-9, (p, gt, kt, err)
@@ -248,8 +241,6 @@ def test_squeezing_transfer_uncertainty(r, gt):
 def test_squeezing_transfer_vs_oracle_minimization():
     for r, gt in ((0.5, 0.7), (1.0, 0.3)):
         closed = squeezing_transfer_variance(r, gt)
-        oracle_min, oracle_theta = fock.oracle_min_quadrature_variance(
-            GwSignalParams(r=r), gt, tail_tol=1e-10
-        )
+        oracle_min, oracle_theta = fock.oracle_min_quadrature_variance(GwSignalParams(r=r), gt)
         assert abs(closed.min_var - oracle_min) < 1e-8
         assert abs(closed.theta_min - oracle_theta) < 1e-6 or gt == 0.0

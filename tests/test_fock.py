@@ -15,6 +15,12 @@ from gravoptics.counting import (
 from gravoptics.states import GwSignalParams
 
 
+def bar_on_cutoff(p: GwSignalParams, gamma_t: float, dim: int) -> fock.TruncatedState:
+    """The checked detector marginal on a fixed cutoff, one layer below the adaptive oracle."""
+    rho_bar, tail = fock.evolved_bar_density(fock.build_gw_density(p, dim), gamma_t)
+    return fock.TruncatedState(dim, rho_bar / np.trace(rho_bar).real, tail)
+
+
 def test_vacuum_and_thermal_densities():
     vac = fock.build_gw_density(GwSignalParams(), 12)
     assert abs(vac.rho[0, 0] - 1.0) < 1e-15
@@ -176,8 +182,8 @@ def test_oracle_g2_landmarks_and_transfer():
 def test_truncation_convergence():
     p = GwSignalParams(alpha=0.8, r=0.3, nbar=0.4)
     dim = fock.oracle_bar_state(p, 0.6, tail_tol=1e-10).dim
-    small = fock.oracle_pn_table(p, 0.6, 2, dim=dim)[2]
-    large = fock.oracle_pn_table(p, 0.6, 2, dim=min(2 * dim, fock.MAX_DIM))[2]
+    small = bar_on_cutoff(p, 0.6, dim).rho[2, 2].real
+    large = bar_on_cutoff(p, 0.6, min(2 * dim, fock.MAX_DIM)).rho[2, 2].real
     assert abs(small - large) < 1e-9
 
 
@@ -212,7 +218,7 @@ def test_bar_marginal_at_growth_max_dim(gt):
     # where the rescaled factors of the marginal come closest to the double range
     p = GwSignalParams(alpha=2j, r=1.0, theta=0.0, nbar=2.0)
     dim = fock.GROWTH_MAX_DIM
-    bar = fock.oracle_bar_state(p, gt, dim=dim)
+    bar = bar_on_cutoff(p, gt, dim)
     assert bar.dim == dim and np.all(np.isfinite(bar.rho))
     moments = evolved_bar_moments(p, gt)
     for n in range(7):
@@ -244,21 +250,16 @@ def test_oracle_builds_each_density_once(monkeypatch):
     assert len(built) == 2 and len(set(built)) == 1
     # every input is in the memo's key to the bit: each change rebuilds once,
     # and the other entry point then reads the rebuilt marginal
-    dim = built[0]
-    tol = 10 * fock.DEFAULT_TAIL_TOL
     flat = GwSignalParams(alpha=complex(0.9, -0.3), r=0.4, theta=0.0, nbar=0.3)
     flipped = GwSignalParams(alpha=complex(0.9, -0.3), r=0.4, theta=-0.0, nbar=0.3)
-    changes = [
-        (p, 0.8, None, fock.DEFAULT_TAIL_TOL),
-        (p, 0.8, dim, fock.DEFAULT_TAIL_TOL),
-        (p, 0.8, dim, tol),
-        (flat, 0.8, dim, tol),
-        (flipped, 0.8, dim, tol),
-    ]
-    for count, (q, gt, d, t) in enumerate(changes, start=len(built) + 1):
-        fock.oracle_moments_and_g2(q, gt, d, t)
-        fock.oracle_pn_table(q, gt, 5, d, t)
+    for count, q in enumerate((p, flat, flipped), start=len(built) + 1):
+        fock.oracle_moments_and_g2(q, 0.8)
+        fock.oracle_pn_table(q, 0.8, 5)
         assert len(built) == count
+    # so is the tail tolerance, which only the moments take
+    for _ in range(2):
+        fock.oracle_moments_and_g2(flipped, 0.8, 10 * fock.DEFAULT_TAIL_TOL)
+        assert len(built) == count + 1
 
 
 def test_oracle_memo_hit_matches_fresh_build(monkeypatch):
@@ -290,13 +291,16 @@ def test_oracle_memo_hit_matches_fresh_build(monkeypatch):
         assert fock.oracle_pn_table(p, gt, 5).tobytes() == cold_table.tobytes()
     assert len(built) == 24
 
-    # a failed build is not kept: the same call fails again
+    # a failed build is not kept: the same call fails again (the search capped
+    # at cutoff 12, where the tail of this state is too heavy)
+    monkeypatch.setattr(fock, "MAX_DIM", 12)
+    monkeypatch.setattr(fock, "GROWTH_MAX_DIM", 12)
     p = GwSignalParams(alpha=2.0, nbar=2.0)
     for _ in range(2):
         with pytest.raises(ValueError, match="tail mass"):
-            fock.oracle_pn_table(p, 0.7, 5, dim=12)
+            fock.oracle_pn_table(p, 0.7, 5)
     with pytest.raises(ValueError, match="tail mass"):
-        fock.oracle_moments_and_g2(p, 0.7, dim=12)
+        fock.oracle_moments_and_g2(p, 0.7)
 
 
 def test_tail_rejection():
@@ -310,31 +314,23 @@ def test_oracle_table_holds_every_level_asked_for():
     for p in (GwSignalParams(alpha=0.3), GwSignalParams()):
         assert len(fock.oracle_pn_table(p, 0.5, 5)) == 6
         assert len(fock.oracle_pn_table(p, 0.5, 30)) == 31
-        assert len(fock.oracle_pn_table(p, 0.5, 30, dim=31)) == 31
     p = GwSignalParams(alpha=0.3)
     with pytest.raises(ValueError, match="n_max must be at least 0, got -1"):
         fock.oracle_pn_table(p, 0.5, -1)
-    with pytest.raises(ValueError, match="dim must exceed n_max 5, got 5"):
-        fock.oracle_pn_table(p, 0.5, 5, dim=5)
     with pytest.raises(ValueError, match="dim must be at least 1, got 0"):
         fock.build_gw_density(p, 0)
-    with pytest.raises(ValueError, match="dim must be at least 1, got 0"):
-        fock.oracle_bar_state(p, 0.5, dim=0)
     with pytest.raises(ValueError, match=f"n_max {fock.GROWTH_MAX_DIM} needs a cutoff past"):
         fock.oracle_pn_table(p, 0.5, fock.GROWTH_MAX_DIM)
 
 
-def test_oracle_rejects_an_explicit_cutoff_whose_marginal_overflows(monkeypatch):
+def test_marginal_weights_reject_a_cutoff_that_overflows():
     # at gamma_t = 0 the marginal's weights (c^2 dim)^k / k! overflow past a
-    # cutoff of ~709; the table must raise, without a warning, before any
-    # density is built on that cutoff
-    built = []
-    monkeypatch.setattr(fock, "build_gw_density", lambda *args: built.append(args))
+    # cutoff of ~709, beyond where the search may grow; they raise without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"cutoff dim 800 at gamma_t 0\.0: .* overflow"):
-            fock.oracle_pn_table(GwSignalParams(alpha=0.3), 0.0, 5, dim=800)
-    assert built == []
+            fock._marginal_weights(0.0, 800)
+        assert np.isfinite(fock._marginal_weights(0.0, fock.GROWTH_MAX_DIM)).all()
 
 
 def test_oracle_reaches_past_max_dim_at_the_anti_squeezed_corner():

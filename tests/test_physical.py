@@ -75,7 +75,7 @@ def test_noise_thresholds():
     )
     rep = noise_thresholds(cold, 628.0, gamma_t=1e-2, n_grav=1e4)
     assert rep.heating_ok and rep.occupation_ok
-    assert rep.heating_margin == math.inf
+    assert rep.gamma_th == rep.n_th == 0.0
 
     warm = DetectorConfig(
         mass=1800.0,
@@ -95,7 +95,7 @@ def test_noise_thresholds():
     )
     rep1 = noise_thresholds(warm, 628.0, 1e-2, 1e4)
     rep2 = noise_thresholds(warm_q10, 628.0, 1e-2, 1e4)
-    assert abs(rep2.heating_margin / rep1.heating_margin - 10.0) < 1e-9
+    assert abs(rep1.gamma_th / rep2.gamma_th - 10.0) < 1e-9
 
 
 def test_noise_threshold_margin_example():
@@ -118,5 +118,6 @@ def test_noise_threshold_margin_example():
     )
     rep = noise_thresholds(tuned, nu, gamma_t, n_grav=1.0 / gamma_t**2)
     assert rep.heating_ok
-    assert abs(rep.heating_lhs - 0.1) < 1e-9
-    assert abs(rep.heating_margin - 10.0) < 1e-6
+    assert abs(rep.gamma_th * t - 0.1) < 1e-9
+    # the signal 1 beats Gamma_th t = 0.1 by a margin of 10, and a signal of 0.09 does not
+    assert not noise_thresholds(tuned, nu, gamma_t, n_grav=0.09 / gamma_t**2).heating_ok
