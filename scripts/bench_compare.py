@@ -8,8 +8,13 @@ pairs, alternating which side runs first, with seeds 901, 902, ... and the
 benchmark's own run length, then one traced run of each side.  The output
 holds every run, each side's median and quartiles per end-to-end metric,
 the number of pairs the change won, and both traced runs' per-layer metrics.
-The file is rewritten after every run, so an interrupted comparison keeps
-what it measured.
+Per metric it also holds the median of the per-pair change/parent ratios
+with a 90% bootstrap interval over the pairs (seeded, so a file is
+reproducible from its runs), and ``claimable``: at least ten pairs, the
+change wins at least nine tenths of them (a tie counts for neither side),
+and the change's median beats the parent's by more than the parent's
+interquartile range.  The file is rewritten after every run, so an
+interrupted comparison keeps what it measured.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
+# bootstrap resamples of the pairs behind each ratio interval, and their seed
+RESAMPLES = 2000
+BOOTSTRAP_SEED = 23
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -38,6 +46,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     if proc.returncode != 0 or not lines:
         return {"error": proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]}
     return json.loads(lines[-1])
+
+
+def ratio_summary(ratios: list[float]) -> dict:
+    """Median of the per-pair change/parent ratios and its 90% bootstrap interval."""
+    rng = numpy.random.default_rng(BOOTSTRAP_SEED)
+    medians = numpy.median(rng.choice(ratios, size=(RESAMPLES, len(ratios))), axis=1)
+    lo, hi = numpy.quantile(medians, [0.05, 0.95])
+    return {"median": statistics.median(ratios), "lo90": float(lo), "hi90": float(hi)}
+
+
+def claimable(row: dict, pairs: int) -> bool:
+    """At least ten pairs, nine tenths won, and a median gap wider than the parent's IQR."""
+    parent, change = row["parent"], row["change"]
+    gap = change["median"] - parent["median"]
+    if row["better"] == "lower":
+        gap = -gap
+    won = pairs >= 10 and row["change_wins"] >= 0.9 * pairs
+    return won and gap > parent["q3"] - parent["q1"]
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -57,13 +83,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 if len(values) >= 2:
                     q1, median, q3 = statistics.quantiles(values, n=4)
                     row[side] = {"median": median, "q1": q1, "q3": q3}
-            row["change_wins"] = sum(
-                (c < p) if lower else (c > p)
-                for p, c in (
-                    (pr["parent"]["metrics"][name]["value"], pr["change"]["metrics"][name]["value"])
-                    for pr in complete
-                )
-            )
+            pair_values = [
+                (pr["parent"]["metrics"][name]["value"], pr["change"]["metrics"][name]["value"])
+                for pr in complete
+            ]
+            row["change_wins"] = sum((c < p) if lower else (c > p) for p, c in pair_values)
+            if len(pair_values) >= 2:
+                row["claimable"] = claimable(row, len(pair_values))
+                if all(p != 0 for p, _ in pair_values):
+                    row["ratio"] = ratio_summary([c / p for p, c in pair_values])
             rows[name] = row
         rows["failed_share"] = {
             side: sorted({p[side]["failed"] / p[side]["attempted"] for p in complete})

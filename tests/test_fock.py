@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +74,95 @@ def test_truncated_state_validation():
     for broken in (np.full((2, 2), np.nan), nan_off, np.diag([np.inf, 0.3])):
         with pytest.raises(ValueError, match="non-finite"):
             fock.TruncatedState(2, broken, 0.0)
+
+
+def test_truncated_state_leaves_the_matrix_bit_for_bit():
+    # the positivity test shifts the diagonal of rho itself and restores it
+    # from a saved copy, on success and on failure alike
+    basis = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + 1j * np.eye(3))[0]
+    # just below 1/2 the shift crosses a binade, so undoing it by arithmetic
+    # would not give the bits back
+    edge = 0.5 - 3 * 2.0**-54
+    assert edge - fock.POSITIVITY_FLOOR + fock.POSITIVITY_FLOOR != edge
+    cases = [(np.diag([edge, 1.0 - edge + 1e-9, -1e-9]).astype(complex), False)]
+    cases.append((np.diag([edge, 1.0 - edge, 0.0]).astype(complex), True))
+    for lowest, accepted in ((0.1, True), (-1e-9, False)):
+        rho = (basis * [0.6 - lowest, 0.4, lowest]) @ basis.conj().T
+        cases.append(((rho + rho.conj().T) / 2.0, accepted))
+    for rho, accepted in cases:
+        before = rho.view(np.uint64).copy()
+        if accepted:
+            assert fock.TruncatedState(3, rho, 0.0).rho is rho
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                fock.TruncatedState(3, rho, 0.0)
+        assert np.array_equal(rho.view(np.uint64), before)
+    # a read-only matrix is checked on a copy of its own
+    frozen = np.diag([0.7, 0.3]).astype(complex)
+    frozen.flags.writeable = False
+    state = fock.TruncatedState(2, frozen, 0.0)
+    assert state.rho.flags.writeable and np.array_equal(state.rho, frozen)
+    rho = np.diag([1.0 + 1e-9, -1e-9]).astype(complex)
+    rho.flags.writeable = False
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        fock.TruncatedState(2, rho, 0.0)
+
+
+def test_build_hands_on_the_squeeze_stage_error(monkeypatch):
+    # the squeeze chains run on a thread of their own; its error reaches the
+    # caller, the thread is joined either way, and when both stages raise
+    # the displacement's error comes first
+    p, threads = GwSignalParams(alpha=0.5, r=0.5), threading.active_count()
+    finished = []
+
+    def squeeze_fails(*_):
+        time.sleep(0.05)
+        finished.append(True)
+        raise RuntimeError("squeeze failed")
+
+    monkeypatch.setattr(fock, "squeeze_blocks", squeeze_fails)
+    with pytest.raises(RuntimeError, match="squeeze failed"):
+        fock.build_gw_density(p, 20)
+    assert threading.active_count() == threads
+
+    def displacement_fails(*_):
+        raise ArithmeticError("displacement failed")
+
+    monkeypatch.setattr(fock, "displacement_op", displacement_fails)
+    with pytest.raises(ArithmeticError, match="displacement failed"):
+        fock.build_gw_density(p, 20)
+    assert finished == [True, True] and threading.active_count() == threads
+
+
+def peak_arrays(call, dim: int) -> float:
+    """Largest number of dim x dim complex arrays' worth of memory that call() held at once."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - before) / (16 * dim * dim)
+
+
+def test_oracle_draw_holds_fewer_than_four_density_sized_arrays(monkeypatch):
+    # the densest draw of the benchmark's range, at cutoff 320: the checks
+    # copy nothing full-size, and each full-size array goes before the next
+    p, gamma_t = GwSignalParams(alpha=1.0, r=0.95, nbar=1.9), 0.7
+    monkeypatch.setattr(fock, "_last_populations", None)
+    dim = fock.MAX_DIM
+    arrays = peak_arrays(lambda: fock.oracle_pn_table(p, gamma_t, 5), dim)
+    assert fock.oracle_bar_state(p, gamma_t).dim == dim
+    assert arrays < 4.0, arrays
+    # the marginal's skew buffer is (dim + 1) x dim, not a zero-padded dim x 2 dim
+    gw = fock.build_gw_density(p, dim)
+    arrays = peak_arrays(lambda: fock.evolved_bar_density(gw, gamma_t), dim)
+    assert arrays < 2.5, arrays
 
 
 # 95 and 321 give squeeze chains of both parities with even and odd lengths,

@@ -4,16 +4,15 @@ The figure data, the benchmark's sweeps warm-ups and ops of two seeds in CSV
 and JSON, their rejected-grid copies, the gated inputs and the Fock oracle's
 draws of two seeds are regenerated in-process; the test names the first
 output whose exit code or digest (exit code, stdout and stderr, kept apart)
-differs.  The same run, profiled, is the census of ``test_tooling.census``:
-each def of the package that no pinned output runs is named, unless a
-tracer target or a ``REFERENCES`` entry keeps it.  A change that moves bytes
-on purpose regenerates the manifest with ``python3 scripts/output_manifest.py
---write``.  The tool's ``--compare`` is checked on canned worker rows, and
-``scripts/reproduce_figure_data.sh`` against the generator's figure outputs.
+differs.  The same run, profiled on every thread it starts, is the census
+of ``test_tooling.census``: each def of the package that no pinned output
+runs is named, unless a tracer target or a ``REFERENCES`` entry keeps it.
+A change that moves bytes on purpose regenerates the manifest with
+``python3 scripts/output_manifest.py --write``.  The tool's ``--compare`` is
+checked on canned worker rows, and ``scripts/reproduce_figure_data.sh``
+against the generator's figure outputs.
 """
 
-import cProfile
-import importlib.util
 import itertools
 import json
 import os
@@ -22,7 +21,7 @@ import sys
 from pathlib import Path
 
 from gravoptics import cli
-from test_tooling import census
+from test_tooling import census, load_file, profiled
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_manifest.py"
 # the file reproduce_figure_data.sh writes for each figure output
@@ -36,14 +35,7 @@ FIGURE_FILES = {
 
 
 def load_script():
-    spec = importlib.util.spec_from_file_location("output_manifest", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
+    return load_file(SCRIPT)
 
 
 def test_outputs_match_manifest(tmp_path):
@@ -52,9 +44,9 @@ def test_outputs_match_manifest(tmp_path):
     manifest = load_script()
     expected = json.loads(manifest.MANIFEST.read_text())
     cli.build_parser.cache_clear()
-    profile = cProfile.Profile(builtins=False)  # the census reads Python calls only
-    problem = manifest.first_difference(expected, profile.runcall(manifest.build, tmp_path))
-    unserved = census(profile)
+    actual, ran = profiled(manifest.build, tmp_path)
+    problem = manifest.first_difference(expected, actual)
+    unserved = census(ran)
     assert (problem, unserved) == (None, []), "\n".join(filter(None, [problem, *unserved]))
 
 

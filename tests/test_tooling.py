@@ -1,11 +1,16 @@
 import ast
 import cProfile
+import importlib
+import importlib.util
 import io
 import re
 import subprocess
 import sys
+import threading
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import gravoptics
 
@@ -30,6 +35,18 @@ assert TARGETS
 """
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_executor_or_logging():
+    # every CLI call pays its import: the oracle's second thread is a bare
+    # threading.Thread, which numpy already loads, while an executor would
+    # bring concurrent.futures and logging with it
+    code = "import sys, gravoptics.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "threading" in loaded
+    assert not {"concurrent.futures", "logging"} & loaded
 
 
 ROOT = TRACER.parent.parent
@@ -109,19 +126,47 @@ def _names(path: Path):
     yield from walk(ast.parse(path.read_text()), path.stem, None)
 
 
-def census(profile: cProfile.Profile) -> list[str]:
+def profiled(call, *args):
+    """``call(*args)`` under cProfile on this thread and on every thread it starts.
+
+    Returns its value and the (file, first line) of each Python function that
+    ran on any of them.  A started thread's first call enters the hook that
+    starts that thread's profiler, so the hook records the function it entered.
+    """
+    profiles = [cProfile.Profile(builtins=False)]  # the census reads Python calls only
+    entered = set()
+
+    def profile_thread(frame, *_):
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+        profiles.append(cProfile.Profile(builtins=False))
+        profiles[-1].enable()
+
+    previous = threading.getprofile()
+    threading.setprofile(profile_thread)
+    try:
+        value = profiles[0].runcall(call, *args)
+    finally:
+        threading.setprofile(previous)
+    ran = {
+        (entry.code.co_filename, entry.code.co_firstlineno)
+        for profile in profiles
+        for entry in profile.getstats()
+    }
+    return value, ran | entered
+
+
+def census(ran: set[tuple[str, int]]) -> list[str]:
     """Each def of the package that serves nothing, and each REFERENCES entry that is wrong.
 
-    A def serves when ``profile`` (a run of every pinned output, Python calls
-    only) called it, when it is a tracer target or a REFERENCES entry, or
-    when it is only a helper of those: the code of one names it, or names
-    the class of a method (a dunder, a dataclass hook), and so on
-    transitively.  An entry is wrong when it names no class or def, when a
-    pinned output runs it, or when its reason names a test that does not
-    exist.
+    A def serves when ``ran`` (the (file, first line) of each Python function
+    that a run of every pinned output called, from ``profiled``) holds it,
+    when it is a tracer target or a REFERENCES entry, or when it is only a
+    helper of those: the code of one names it, or names the class of a
+    method (a dunder, a dataclass hook), and so on transitively.  An entry
+    is wrong when it names no class or def, when a pinned output runs it, or
+    when its reason names a test that does not exist.
     """
     package = Path(gravoptics.__file__).parent
-    ran = {(entry.code.co_filename, entry.code.co_firstlineno) for entry in profile.getstats()}
     code, words, unrun, run = {}, {}, set(), set()
     for path in sorted(package.glob("*.py")):
         for name, first, cls, text in _names(path):
@@ -156,6 +201,49 @@ def census(profile: cProfile.Profile) -> list[str]:
     ]
 
 
+def test_profiled_sees_every_thread_a_call_starts():
+    # build_gw_density runs its squeeze chains on a second thread, which a
+    # profiler of the calling thread alone never sees
+    from gravoptics import fock
+    from gravoptics.states import GwSignalParams
+
+    args = fock.build_gw_density, GwSignalParams(alpha=1.0, r=0.5), 20
+    alone = cProfile.Profile(builtins=False)
+    alone.runcall(*args)
+    seen = {(entry.code.co_filename, entry.code.co_firstlineno) for entry in alone.getstats()}
+    _, ran = profiled(*args)
+    for function in (fock.squeeze_blocks, fock._Stage.run):
+        where = (function.__code__.co_filename, function.__code__.co_firstlineno)
+        assert where in ran and where not in seen, function.__name__
+    assert seen < ran
+
+
+def test_no_tracer_target_runs_off_the_main_thread(monkeypatch):
+    # the benchmark's tracer keeps one span stack, so its targets must all run
+    # on the thread that holds it; build_gw_density's second thread runs none
+    from gravoptics import fock
+    from gravoptics.states import GwSignalParams
+
+    entered = set()
+
+    def record(frame, event, _):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    monkeypatch.setattr(fock, "_last_populations", None)
+    previous = threading.getprofile()
+    threading.setprofile(record)
+    try:
+        fock.oracle_moments_and_g2(GwSignalParams(alpha=1.0, r=0.5, nbar=0.3), 0.7)
+    finally:
+        threading.setprofile(previous)
+    assert fock.squeeze_blocks.__code__ in entered
+    for target in sorted(_targets()):
+        module, name = target.split(".")
+        function = getattr(importlib.import_module(f"gravoptics.{module}"), name)
+        assert function.__code__ not in entered, target
+
+
 def test_public_names_serve_a_caller():
     # every public top-level class is named in the code of the package, the
     # scripts or the benchmark (read, never imported), or is a REFERENCES
@@ -181,3 +269,68 @@ def test_public_names_serve_a_caller():
             if not any(word.search(other) for other in callers):
                 unused.append(f"{path.stem}.{match.group(1)}")
     assert not unused, unused
+
+
+def load_file(path: Path):
+    """A script as a module, leaving no bytecode cache beside it."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_bench_compare_summarizes_synthetic_pairs():
+    bench = load_file(ROOT / "scripts" / "bench_compare.py")
+    # per metric: (better, parent values, change values) of ten pairs
+    spread = [0.0, 0.05, -0.05, 0.1, -0.1, 0.02, -0.02, 0.08, -0.08, 0.04]
+    cases = {
+        "clear_drop": ("lower", [49.0 + d for d in spread], [48.0 + d for d in spread]),
+        "ties": ("higher", [100.0 + d for d in spread], [100.0 + d for d in spread]),
+        "inside_iqr": ("higher", [100 + 50 * d for d in spread], [101 + 50 * d for d in spread]),
+        "eight_wins": ("lower", [10.0] * 10, [8.0] * 8 + [12.0] * 2),
+    }
+    metrics = [{"name": name, "unit": "u", "better": case[0]} for name, case in cases.items()]
+    runs = []
+    for pair in range(10):
+        for side, column in (("parent", 1), ("change", 2)):
+            values = {name: {"value": case[column][pair]} for name, case in cases.items()}
+            result = {"metrics": values, "failed": pair % 2, "attempted": 100}
+            run = {"pair": pair, "seed": 901 + pair, "workload": "w", "side": side}
+            runs.append({**run, "result": result})
+    # an unfinished pair and a failed run count for nothing
+    run = {"pair": 10, "seed": 911, "workload": "w"}
+    runs += [{**run, "side": "parent", "result": result}]
+    runs += [{**run, "side": "change", "result": {"error": ["x"]}}]
+    summary = bench.summarize(runs, metrics)
+    assert summary == bench.summarize(runs, metrics)  # the bootstrap is seeded
+    assert summary["w"]["pairs"] == 10
+    rows = summary["w"]["metrics"]
+    assert rows["failed_share"] == {"parent": [0.0, 0.01], "change": [0.0, 0.01]}
+
+    drop = rows["clear_drop"]
+    assert drop["unit"] == "u" and drop["better"] == "lower" and drop["change_wins"] == 10
+    assert drop["parent"]["median"] == pytest.approx(49.01)
+    assert drop["change"]["median"] == pytest.approx(48.01)
+    assert drop["parent"]["q1"] < drop["parent"]["median"] < drop["parent"]["q3"]
+    ratios = sorted(c / p for p, c in zip(cases["clear_drop"][1], cases["clear_drop"][2]))
+    ratio = drop["ratio"]
+    assert ratio["median"] == pytest.approx((ratios[4] + ratios[5]) / 2)
+    assert ratios[0] <= ratio["lo90"] <= ratio["median"] <= ratio["hi90"] < 1
+    assert drop["claimable"] is True
+
+    ties = rows["ties"]
+    assert ties["change_wins"] == 0 and ties["claimable"] is False
+    assert ties["ratio"] == {"median": 1.0, "lo90": 1.0, "hi90": 1.0}
+    # every pair won, but the gap (1) is inside the parent's interquartile range
+    inside = rows["inside_iqr"]
+    assert inside["change_wins"] == 10 and inside["claimable"] is False
+    assert inside["parent"]["q3"] - inside["parent"]["q1"] > 1.0
+    # a wide gap, but two pairs lost
+    eight = rows["eight_wins"]
+    assert eight["change_wins"] == 8 and eight["claimable"] is False
+    # fewer than ten pairs never claim
+    assert bench.claimable({**drop, "change_wins": 5}, 5) is False
