@@ -30,7 +30,10 @@ platform string: it does not round anything.
 ``--compare`` runs the generator for the seeds COMPARED once per checkout,
 each in a ``python -B`` worker on that checkout's ``src/``, lists every
 output that differs, grouped by subcommand with a count per group, and exits
-1 on any difference.
+1 on any difference.  A moved oracle draw that printed an array on both
+sides is listed with the largest relative change of its float64 values, and
+the largest over the moved P_n tables and over the moved moment triples
+close the list.
 """
 
 from __future__ import annotations
@@ -207,17 +210,24 @@ def digest(code: int, out: bytes, err: bytes) -> str:
     return hashlib.sha256(b"%d %d\0" % (code, len(out)) + out + err).hexdigest()
 
 
-def rows(checkout: Path, work: Path, seeds, oracle_seeds) -> list[tuple[str, str, str, int]]:
-    """(label, subcommand, digest, exit code) of every output of ``outputs``."""
-    return [
-        (label, command, digest(code, out, err), code)
-        for label, command, code, out, err in outputs(checkout, work, seeds, oracle_seeds)
-    ]
+def rows(
+    checkout: Path, work: Path, seeds, oracle_seeds
+) -> list[tuple[str, str, str, int, str | None]]:
+    """(label, subcommand, digest, exit code, values) of every output of ``outputs``.
+
+    values is the hex of the float64 bytes an oracle draw printed, and None
+    for every other output and for a draw that raised.
+    """
+    found = []
+    for label, command, code, out, err in outputs(checkout, work, seeds, oracle_seeds):
+        values = out.hex() if command == "oracle" and code == 0 else None
+        found.append((label, command, digest(code, out, err), code, values))
+    return found
 
 
 def build(work: Path) -> dict:
     pinned = rows(ROOT, work, *PINNED)
-    entries = {label: {"exit": code, "sha256": sha} for label, _, sha, code in pinned}
+    entries = {label: {"exit": code, "sha256": sha} for label, _, sha, code, _ in pinned}
     return {**platform_strings(), "outputs": entries}
 
 
@@ -251,10 +261,24 @@ def dump(manifest: dict) -> str:
 def differing(parent: list, change: list) -> dict[str, list[str]]:
     """Labels of the outputs whose digests differ between two ``rows`` lists, by subcommand."""
     groups: dict[str, list[str]] = {}
-    for (label, command, before, _), (_, _, after, _) in zip(parent, change, strict=True):
+    for (label, command, before, *_), (_, _, after, *_) in zip(parent, change, strict=True):
         if before != after:
             groups.setdefault(command, []).append(label)
     return groups
+
+
+def relative_change(before: str | None, after: str | None) -> float | None:
+    """Largest |after - before| / |before| of two oracle arrays given as ``rows`` values.
+
+    None when either side printed no array or the lengths differ; an entry
+    that did not move counts 0, one that moved off 0 counts inf.
+    """
+    if before is None or after is None or len(before) != len(after):
+        return None
+    old, new = (np.frombuffer(bytes.fromhex(side)) for side in (before, after))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(new == old, 0.0, np.abs(new - old) / np.abs(old))
+    return float(ratios.max(initial=0.0))
 
 
 def compare(parent: Path, change: Path) -> bool:
@@ -267,14 +291,25 @@ def compare(parent: Path, change: Path) -> bool:
             proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
             results.append(json.loads(proc.stdout))
     groups = differing(*results)
+    values = [{row[0]: row[4] for row in side} for side in results]
+    largest: dict[str, float] = {}
     for command, labels in groups.items():
         print(f"{command}: {len(labels)} differ")
-        print("\n".join(f"  {label}" for label in labels))
+        for label in labels:
+            change = relative_change(values[0][label], values[1][label])
+            if change is None:
+                print(f"  {label}")
+                continue
+            print(f"  {label}: largest relative change {change:.3g}")
+            kind = label.rsplit(" ", 1)[1]
+            largest[kind] = max(largest.get(kind, 0.0), change)
+    for kind, change in largest.items():
+        print(f"oracle {kind}: largest relative change {change:.3g}")
     if groups:
         print(f"{sum(map(len, groups.values()))} of {len(results[0])} outputs differ")
         return False
     kinds: dict[str, list] = {"figure": [], "sweeps": [], "gated": [], "oracle": []}
-    for label, command, _, code in results[0]:
+    for label, command, _, code, _ in results[0]:
         kind = "oracle" if command == "oracle" else label.split()[0]
         kinds.get(kind, kinds["sweeps"]).append((label, code))
     codes = [code for label, code in kinds["sweeps"] if label.endswith(" rejected")]

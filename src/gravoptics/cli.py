@@ -499,6 +499,11 @@ def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], GridRows]:
             f"sweep[{sweep_names.index('gamma_t')}].parameter: g2 of direct gw parameters "
             "does not depend on gamma_t, so a gamma_t axis would give identical rows"
         )
+    if not cfg.scaled and cfg.detector:
+        raise ConfigError(
+            "detector: g2 of direct gw parameters does not depend on the detector, "
+            "so a detector section would not be read"
+        )
     if cfg.scaled and not (cfg.detector or "gamma_t" in sweep_names):
         raise ConfigError("g2: the scaled parameterization needs detector.gamma_t")
     columns = _grid(cfg)

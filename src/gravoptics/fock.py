@@ -11,20 +11,27 @@ turns each chain real by a diagonal phase similarity and exponentiates the
 same truncated matrix through one real SVD of its half-size block linking
 even to odd levels; no state the oracle checks is built from the Gaussian
 kernels it is checked against.  The wave density is M M† with
-M = D S sqrt(rho_th) along one path: S is never formed whole, D meets its
-two parity blocks through half-size products, and alpha = 0 and r = 0 run as
-exact identity chains.  The detector marginal is the sum over the exact
-binomial Kraus amplitudes <k, m| U |k+m, 0>, done as one real Toeplitz
-matmul on a rescaled rho, never as the joint state.
+M = D S sqrt(rho_th) along one path: M has one column per thermal level
+whose population is at least THERMAL_FLOOR (2^-80) of the ground level's,
+k of them (1 at nbar = 0, 35 to 125 on the benchmark's draws), so its
+products cost dim^2 k, not dim^3; S is never formed whole, D meets its two
+parity blocks through half-size products, M and its conjugate are written
+over D's own columns, and alpha = 0 and r = 0 run as exact identity chains.
+The detector marginal is the sum over the exact binomial Kraus amplitudes
+<k, m| U |k+m, 0>, never the joint state.  Its populations on every level
+come first, through one Toeplitz mat-vec on the wave's diagonal; the matrix
+is then built, as one real Toeplitz matmul on a rescaled band of rho, and
+checked on the levels that carry its mass only (MARGINAL_FLOOR).
 Each density matrix is checked for unit trace, Hermiticity (through one
 temporary) and positivity (a Cholesky factorization of rho itself, its
 diagonal shifted by the floor and then restored bit for bit); numpy does all
 of it.  The displacement and squeeze chains are independent LAPACK work, so
 the squeeze runs on a second thread of each build while the caller makes the
-displacement.  Each full-size array goes before the next is made, the
-marginal drops the wave density once it holds a rescaled copy, and its skew
-buffer is (dim + 1) x dim: at cutoff 320 one draw holds at most 3.5
-density-sized complex arrays at once, not 4.6.
+displacement.  Each full-size array goes before the next is made, and the
+marginal drops the wave density once it holds the band: at cutoff 320 one
+draw holds at most 3.0 density-sized complex arrays at once, not 3.5, and
+the peak is the wave's positivity check (rho, numpy's working copy of it and
+the Cholesky factor).
 ``oracle_pn_table`` and ``oracle_moments_and_g2`` read only the marginal's
 diagonal, and they share the latest checked one: asking both of one state
 builds its wave density and its marginal once.
@@ -42,6 +49,13 @@ from numpy.typing import NDArray
 from .states import GwSignalParams
 
 DEFAULT_TAIL_TOL = 1e-8
+# M = D S sqrt(rho_th) leaves out the thermal levels whose population is below
+# this fraction of the ground level's: they move no entry of rho past round-off
+THERMAL_FLOOR = 2.0**-80
+# the detector marginal is built on the fewest levels past which its
+# population and its n^2-weighted population both fall below this fraction
+# of their totals
+MARGINAL_FLOOR = 1e-17
 # squeezed thermal corners of the validation box (nbar ~ 2, r ~ 1) decay like
 # 0.95^n and need cutoffs well past 200 before the top level drops below 1e-8.
 # The first cutoff guess stays at or below MAX_DIM; only a tail failure there
@@ -208,10 +222,17 @@ class _Stage(threading.Thread):
 def build_gw_density(
     p: GwSignalParams, dim: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> TruncatedState:
-    """Displaced squeezed thermal density matrix M M† with M = D S sqrt(rho_th)."""
+    """Displaced squeezed thermal density matrix M M† with M = D S sqrt(rho_th).
+
+    M has one column per thermal level whose population is at least
+    THERMAL_FLOOR of the ground level's, k of them (1 at nbar = 0), so its
+    products cost dim^2 k rather than dim^3.
+    """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
-    root_pops = np.sqrt(thermal_populations(p.nbar, dim))
+    pops = thermal_populations(p.nbar, dim)
+    root_pops = np.sqrt(pops[pops >= THERMAL_FLOOR * pops[0]])
+    k = len(root_pops)
     # the two chain exponentials are independent LAPACK work, which releases
     # the interpreter lock: the squeeze runs on a second thread meanwhile
     squeeze = _Stage(squeeze_blocks, p.r, p.theta, dim)
@@ -221,12 +242,17 @@ def build_gw_density(
         squeeze.join()
     even, odd, _ = squeeze.result()
     # S sqrt(rho_th) maps each parity of levels to itself, so D meets the even
-    # and the odd columns through half-size blocks
+    # and the odd columns through half-size blocks; M's k columns go over D's
+    # leading ones, and the odd product reads none that the even one wrote
     for parity, block in enumerate((even, odd)):
-        factor[:, parity::2] = factor[:, parity::2] @ (block * root_pops[parity::2])
+        roots = root_pops[parity::2]
+        factor[:, parity:k:2] = factor[:, parity::2] @ (block[:, : len(roots)] * roots)
     del even, odd, block
-    rho = factor @ factor.conj().T
-    del factor  # each full-size array goes before the next is made
+    m = factor[:, :k]
+    # conj(M) goes over D's next k columns where they fit, so it needs no array of its own
+    m_conj = np.conjugate(m, out=factor[:, k : 2 * k]) if 2 * k <= dim else m.conj()
+    rho = m @ m_conj.T
+    del factor, m, m_conj  # each full-size array goes before the next is made
     rho /= np.trace(rho).real
     rho += rho.conj().T
     rho *= 0.5
@@ -259,9 +285,13 @@ def _gw_density(p: GwSignalParams, tail_tol: float, min_dim: int = MIN_DIM) -> T
     a quarter, stopping at MAX_DIM once on the way, up to GROWTH_MAX_DIM.
     The guess is generous, not the smallest cutoff that passes: on the
     benchmark's seed-901 oracle draws all 32 accepted cutoffs lie above it
-    (largest 320 against 203, median 100.5 against 70).  The values depend
-    on the cutoff at round-off, so a tighter search would move them.  The
-    accepted density is returned, so callers build it once.
+    (largest 320 against 203, median 100.5 against 70).  The margin buys
+    accuracy the checks need.  At the smallest passing cutoffs those draws
+    cost 1.8 to 1.9 times less, but P_n is then off the 80-digit referee by
+    1.2e-8 and g2 by 2.4e-5, past the benchmark's 1e-8 and 1e-6.  Cutoffs
+    aimed at a tail of 1e-10 save only 1.15 times on seeds 901-902, with g2
+    off by 4.2e-7; the guess matches a tail of about 1e-11.  The accepted
+    density is returned, so callers build it once.
     """
     mean = p.mean_occupation
     q = _tail_decay_ratio(p)
@@ -325,15 +355,14 @@ def splitting_column(total_n: int, gamma_t: float) -> NDArray[np.complex128]:
     return mag * np.array([1.0, -1j, -1.0, 1j])[m % 4]
 
 
-def _skew(buffer: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """View [j, d] -> flat[j (dim + 1) + d], d < dim, of a C-contiguous (dim + 1, dim) buffer.
+def _skew(array: NDArray, rows: int, width: int) -> NDArray:
+    """View [j, d] -> array[j, j + d], j < rows, d < width, of a C-contiguous 2-D array.
 
-    That is buffer[j, j + d] while j + d < dim; past the end of row j the view
-    runs on into the strictly lower triangle of row j + 1 (the last row is padding).
+    Past the end of row j the view runs on into the strictly lower triangle
+    of row j + 1; the caller keeps every entry it reads inside the array.
     """
-    dim = buffer.shape[1]
-    row, item = buffer.strides
-    return np.lib.stride_tricks.as_strided(buffer, (dim, dim), (row + item, item))
+    row, item = array.strides
+    return np.lib.stride_tricks.as_strided(array, (rows, width), (row + item, item))
 
 
 def _marginal_weights(gamma_t: float, dim: int) -> NDArray[np.float64]:
@@ -354,9 +383,9 @@ def _marginal_weights(gamma_t: float, dim: int) -> NDArray[np.float64]:
 
 
 def evolved_bar_density(
-    gw: TruncatedState, gamma_t: float
+    gw: TruncatedState, gamma_t: float, min_levels: int = 1
 ) -> tuple[NDArray[np.complex128], float]:
-    """Detector marginal of U (rho_gw ⊗ |0><0|) U† without forming the joint.
+    """Detector marginal of U (rho_gw ⊗ |0><0|) U† on the levels that carry its mass.
 
     rho_bar[m, n] = sum_k V[k, m] rho_gw[k+m, k+n] conj(V[k, n]) with the
     binomial Kraus amplitudes V[k, m] = <k, m| U |k+m, 0> =
@@ -364,16 +393,20 @@ def evolved_bar_density(
     rho~[i, j] = rho_gw[i, j] sqrt(i! j!) lam^(-i-j), lam = sqrt(dim), the sum
     factorizes as b_m conj(b_n) sum_k w_k rho~[k+m, k+n] with
     w_k = (c lam)^(2k) / k! and b_m = (-i s lam)^m / sqrt(m!); lam keeps every
-    factor inside double range up to GROWTH_MAX_DIM.  In skew storage
-    S[j, d] = rho~[j, j+d] (zero for j + d >= dim) every offset d is one real
-    matmul T @ S with the upper-triangular Toeplitz T[m, j] = w_(j-m); the
-    upper triangle is scattered back and the lower one filled by Hermiticity.
-    S is a view of a (dim + 1, dim) buffer holding rho~ with its strictly
-    lower triangle zeroed, which supplies the zeros: the buffer is half the
-    size of a zero-padded (dim, 2 dim) one, and the values and their order
-    are the same.  Returns (rho_bar, tail_mass of the marginal).
+    factor inside double range up to GROWTH_MAX_DIM.  The populations on all
+    dim levels come first, from the diagonal of rho~ through one Toeplitz
+    mat-vec with T[m, j] = w_(j-m).  The matrix is then built on its leading
+    L levels only: the fewest past which the population and the
+    n^2-weighted population are both at most MARGINAL_FLOOR of their totals,
+    and never fewer than min_levels.  In skew storage S[j, d] = rho~[j, j+d]
+    (zero for j + d >= dim), a dim x L band read straight off rho_gw, the
+    offsets d < L are one real matmul T[:L] @ S at a cost of L^2 dim; its
+    upper triangle is scattered back and the lower one filled by
+    Hermiticity.  Returns (rho_bar, population of its top level).
     """
     dim = gw.dim
+    if not 1 <= min_levels <= dim:
+        raise ValueError(f"min_levels must lie in 1..{dim}, got {min_levels}")
     lam = math.sqrt(dim)
     s = math.sin(gamma_t)
     levels = np.arange(1.0, dim)
@@ -381,30 +414,48 @@ def evolved_bar_density(
     # cumulative products rather than logs, so s = 0 needs no special case
     scale = np.cumprod(np.concatenate(([1.0], np.sqrt(levels) / lam)))  # sqrt(i!) lam^-i
     b = np.cumprod(np.concatenate(([1.0 + 0j], (-1j * s * lam) / np.sqrt(levels))))
-
-    buffer = np.zeros((dim + 1, dim), dtype=complex)
-    upper = buffer[:dim]
-    np.multiply(gw.rho, scale[:, None], out=upper)
+    rho = np.ascontiguousarray(gw.rho)
     del gw  # the last reference when the caller kept none
-    upper *= scale
-    # the skew view reads these zeros past the end of each row
-    strictly_lower = np.tri(dim, k=-1, dtype=bool)
-    np.copyto(upper, 0.0, where=strictly_lower)
-    toeplitz = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((np.zeros(dim - 1), w)), dim
-    )[::-1]
-    summed = (toeplitz @ _skew(buffer).view(np.float64)).view(complex)
 
-    _skew(buffer)[...] = summed
-    del summed  # frees the product before the Hermitian fill allocates rho_bar
+    # the populations |b_m|^2 (T @ diag(rho~))_m, the mat-vec as a correlation with w
+    diagonal = rho.diagonal().real * scale * scale
+    pops = np.correlate(np.concatenate((diagonal, np.zeros(dim - 1))), w) * (b * b.conj()).real
+    # what levels L.. hold, for L = 0..dim-1; it only shrinks as L grows
+    tail = pops[::-1].cumsum()[::-1]
+    tail_n2 = (pops * np.arange(dim) ** 2)[::-1].cumsum()[::-1]
+    cut = (tail <= MARGINAL_FLOOR * tail[0]) & (tail_n2 <= MARGINAL_FLOOR * tail_n2[0])
+    n = max(min_levels, dim - int(np.count_nonzero(cut[1:])))
+
+    band = np.empty((dim, n), dtype=complex)
+    band[:-1] = _skew(rho, dim - 1, n)
+    band[-1] = rho[-1, -1]
+    del rho
+    band *= scale[:, None]
+    # scale[j + d], with ones past the top level for the entries zeroed next
+    scale_ext = np.concatenate((scale, np.ones(n)))
+    band *= np.lib.stride_tricks.as_strided(scale_ext, (dim, n), (scale_ext.itemsize,) * 2)
+    # in the last n rows the entries past j + d = dim came from the next row
+    strictly_lower = np.tri(n, k=-1, dtype=bool)
+    np.copyto(band[dim - n :][::-1], 0.0, where=strictly_lower.T)
+    # T[:n]: row m reads w from m entries before its start, where dim - 1 zeros pad it
+    w_ext = np.concatenate((np.zeros(dim - 1), w))[dim - 1 :]
+    toeplitz = np.lib.stride_tricks.as_strided(w_ext, (n, dim), (-w.itemsize, w.itemsize))
+    summed = (toeplitz @ band.view(np.float64)).view(complex)
+    del band
+
+    upper = np.zeros((n + 1, n), dtype=complex)
+    _skew(upper, n, n)[...] = summed
+    del summed
+    upper = upper[:n]
     # offsets past the end of a row spilled into the lower triangle: zero it again
     np.copyto(upper, 0.0, where=strictly_lower)
-    upper *= b[:, None]
-    upper *= b.conj()
-    rho_bar = np.triu(upper, 1)
-    rho_bar += np.conjugate(upper, out=upper).T
-    np.fill_diagonal(rho_bar.imag, 0.0)
-    return rho_bar, float(rho_bar[dim - 1, dim - 1].real)
+    upper *= b[:n, None]
+    upper *= b[:n].conj()
+    # the zeroed lower triangle adds nothing off the diagonal; on it the sum is 2 Re
+    rho_bar = np.conjugate(upper.T, order="C")
+    rho_bar += upper
+    np.fill_diagonal(rho_bar, upper.diagonal().real)
+    return rho_bar, float(rho_bar[n - 1, n - 1].real)
 
 
 def oracle_bar_state(
@@ -414,7 +465,7 @@ def oracle_bar_state(
     min_dim: int = MIN_DIM,
 ) -> TruncatedState:
     # no reference to the wave density stays here, so the marginal frees it early
-    rho_bar, tail = evolved_bar_density(_gw_density(p, tail_tol, min_dim), gamma_t)
+    rho_bar, tail = evolved_bar_density(_gw_density(p, tail_tol, min_dim), gamma_t, min_dim)
     rho_bar /= np.trace(rho_bar).real
     return TruncatedState(len(rho_bar), rho_bar, tail)
 

@@ -225,9 +225,11 @@ def test_bad_config_exit_code(tmp_path):
 )
 def test_bad_gw_number_exit_code(tmp_path, capsys, bad, message):
     path = tmp_path / "bad.json"
-    cfg = {"gw": {"alpha_mag": 1.0, "r": 0.2, "nbar": 0.1, **bad}, "detector": {"gamma_t": 0.3}}
-    path.write_text(json.dumps(cfg))
-    for command in ("probs", "g2"):
+    gw = {"alpha_mag": 1.0, "r": 0.2, "nbar": 0.1, **bad}
+    # g2 of direct gw parameters reads no detector
+    configs = {"probs": {"gw": gw, "detector": {"gamma_t": 0.3}}, "g2": {"gw": gw}}
+    for command, cfg in configs.items():
+        path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: gw: ") and message in err, (command, err)
@@ -459,6 +461,9 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
         ({"subcommand": "oracle-check", "gw": DESK_PROBS["gw"]}, "gw"),
         ({"subcommand": "oracle-check", "detector": DESK_PROBS["detector"]}, "detector"),
         ({"subcommand": "oracle-check", "n_max": 3}, "n_max"),
+        # g2 of direct gw parameters reads no detector, gamma_t alone or physical
+        ({"subcommand": "g2"}, "detector"),
+        ({"subcommand": "g2", "detector": WEBER}, "detector"),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):
@@ -569,12 +574,8 @@ CARTESIAN = {"alpha_re": -0.7, "alpha_im": 0.4, "r": 0.6, "theta": 4.0, "nbar": 
         # direct polar: r from 0, a log nbar axis; then alpha_phase and theta
         {"gw": POLAR, "sweep": [_axis("r", 0.0, 1.5, 9), _axis("nbar", 1e-3, 2.0, 7, "log")]},
         {"gw": POLAR, "sweep": [_axis("alpha_phase", -3.0, 3.0, 8), _axis("theta", 0.0, 6.2, 6)]},
-        # direct cartesian with a physical detector, whose gamma_t g2 does not read
-        {
-            "gw": CARTESIAN,
-            "detector": json.loads((SCRIPTS / "weber_bar.json").read_text())["detector"],
-            "sweep": [_axis("alpha_re", -2.0, 2.0, 9), _axis("alpha_im", 0.0, 1.0, 1)],
-        },
+        # direct cartesian, with a 1-step second axis
+        {"gw": CARTESIAN, "sweep": [_axis("alpha_re", -2.0, 2.0, 9), _axis("alpha_im", 0.0, 1.0, 1)]},
         # scaled, fraction_q from 0, thermal and squeezed
         {
             "gw": {"x_total": 1.0, "split": "thermal"},
@@ -607,7 +608,7 @@ CARTESIAN = {"alpha_re": -0.7, "alpha_im": 0.4, "r": 0.6, "theta": 4.0, "nbar": 
             "output": {"format": "json"},
         },
     ],
-    ids=["polar", "polar-phases", "cartesian-physical", "thermal", "squeezed", "gamma_t-axis",
+    ids=["polar", "polar-phases", "cartesian", "thermal", "squeezed", "gamma_t-axis",
          "polar-point", "squeezed-point", "alpha_im-axis", "theta-axis", "json"],
 )
 def test_g2_grid_matches_per_point_path(tmp_path, capsys, raw):

@@ -18,10 +18,15 @@ from gravoptics.counting import (
 from gravoptics.states import GwSignalParams
 
 
-def bar_on_cutoff(p: GwSignalParams, gamma_t: float, dim: int) -> fock.TruncatedState:
-    """The checked detector marginal on a fixed cutoff, one layer below the adaptive oracle."""
-    rho_bar, tail = fock.evolved_bar_density(fock.build_gw_density(p, dim), gamma_t)
-    return fock.TruncatedState(dim, rho_bar / np.trace(rho_bar).real, tail)
+def bar_on_cutoff(
+    p: GwSignalParams, gamma_t: float, dim: int, min_levels: int = 1
+) -> fock.TruncatedState:
+    """The checked detector marginal of the wave on a fixed cutoff, one layer below the oracle.
+
+    It holds the levels that carry the marginal's mass, at least min_levels of them.
+    """
+    rho_bar, tail = fock.evolved_bar_density(fock.build_gw_density(p, dim), gamma_t, min_levels)
+    return fock.TruncatedState(len(rho_bar), rho_bar / np.trace(rho_bar).real, tail)
 
 
 def test_vacuum_and_thermal_densities():
@@ -35,6 +40,30 @@ def test_vacuum_and_thermal_densities():
     np.testing.assert_allclose(diag, expect / expect.sum() * expect.sum(), atol=1e-12)
     # geometric ratio between consecutive levels
     np.testing.assert_allclose(diag[1:20] / diag[:19], 0.5, atol=1e-12)
+
+
+def test_wave_density_is_built_from_the_weighty_thermal_levels():
+    # at nbar = 0 only the ground level passes the floor: M is one column, and
+    # rho is the outer product of D S |0>; at nbar = 1 the floor keeps the 81
+    # levels 2^-n >= 2^-80 of the 200; either way rho is the dense M M† of every level
+    for p, dim, columns in (
+        (GwSignalParams(alpha=0.9 - 0.4j, r=0.7, theta=1.3), 60, 1),
+        (GwSignalParams(alpha=0.5j, r=1.0, theta=0.2, nbar=1.0), 200, 81),
+    ):
+        pops = fock.thermal_populations(p.nbar, dim)
+        assert np.count_nonzero(pops >= fock.THERMAL_FLOOR * pops[0]) == columns
+        d, _ = fock.displacement_op(p.alpha, dim)
+        s = np.zeros((dim, dim), dtype=complex)
+        s[0::2, 0::2], s[1::2, 1::2], _ = fock.squeeze_blocks(p.r, p.theta, dim)
+        m = d @ s * np.sqrt(pops)
+        dense = m @ m.conj().T
+        dense /= np.trace(dense).real
+        dense = (dense + dense.conj().T) / 2.0
+        rho = fock.build_gw_density(p, dim).rho
+        assert np.max(np.abs(rho - dense)) < 1e-15
+        if columns == 1:
+            v = d @ s[:, 0]
+            assert np.max(np.abs(rho - np.outer(v, v.conj()) / np.vdot(v, v).real)) < 1e-15
 
 
 def test_displaced_squeezed_state_is_pure():
@@ -157,12 +186,14 @@ def test_oracle_draw_holds_fewer_than_four_density_sized_arrays(monkeypatch):
     monkeypatch.setattr(fock, "_last_populations", None)
     dim = fock.MAX_DIM
     arrays = peak_arrays(lambda: fock.oracle_pn_table(p, gamma_t, 5), dim)
-    assert fock.oracle_bar_state(p, gamma_t).dim == dim
-    assert arrays < 4.0, arrays
-    # the marginal's skew buffer is (dim + 1) x dim, not a zero-padded dim x 2 dim
+    assert fock._gw_density(p, fock.DEFAULT_TAIL_TOL).dim == dim
+    # the peak is the positivity check of the wave density: rho, numpy's
+    # working copy and the Cholesky factor
+    assert arrays < 3.01, arrays
+    # the marginal holds a dim x L band and L x L products, L = 188 levels here
     gw = fock.build_gw_density(p, dim)
     arrays = peak_arrays(lambda: fock.evolved_bar_density(gw, gamma_t), dim)
-    assert arrays < 2.5, arrays
+    assert arrays < 1.1, arrays
 
 
 # 95 and 321 give squeeze chains of both parities with even and odd lengths,
@@ -273,9 +304,9 @@ def test_oracle_g2_landmarks_and_transfer():
 
 def test_truncation_convergence():
     p = GwSignalParams(alpha=0.8, r=0.3, nbar=0.4)
-    dim = fock.oracle_bar_state(p, 0.6, tail_tol=1e-10).dim
-    small = bar_on_cutoff(p, 0.6, dim).rho[2, 2].real
-    large = bar_on_cutoff(p, 0.6, min(2 * dim, fock.MAX_DIM)).rho[2, 2].real
+    dim = fock._gw_density(p, 1e-10).dim
+    small = bar_on_cutoff(p, 0.6, dim, 3).rho[2, 2].real
+    large = bar_on_cutoff(p, 0.6, min(2 * dim, fock.MAX_DIM), 3).rho[2, 2].real
     assert abs(small - large) < 1e-9
 
 
@@ -299,9 +330,56 @@ def test_bar_marginal_matches_partial_trace_of_beamsplitter(dim):
         u = fock.beamsplitter_unitary(gt, dim)
         joint = (u @ np.kron(gw.rho, vacuum) @ u.conj().T).reshape(dim, dim, dim, dim)
         expected = np.einsum("gbgc->bc", joint)
-        rho_bar, tail = fock.evolved_bar_density(gw, gt)
+        # every level asked for: every entry of the marginal
+        rho_bar, tail = fock.evolved_bar_density(gw, gt, dim)
         assert np.max(np.abs(rho_bar - expected)) < 1e-12, gt
         assert tail == rho_bar[dim - 1, dim - 1].real
+        # the levels that carry the mass: the leading block
+        rho_bar, tail = fock.evolved_bar_density(gw, gt)
+        levels = len(rho_bar)
+        assert np.max(np.abs(rho_bar - expected[:levels, :levels])) < 1e-12, gt
+        assert tail == rho_bar[levels - 1, levels - 1].real
+
+
+@pytest.mark.parametrize(
+    ("p", "gamma_t", "dim"),
+    [
+        # no exchange: the marginal is the vacuum, yet the levels asked for come back
+        (GwSignalParams(alpha=0.8, r=0.3, theta=0.4, nbar=0.4), 0.0, 40),
+        # a full swap: the marginal is the wave, whose top level is not negligible
+        (GwSignalParams(alpha=0.8, r=0.3, theta=0.4, nbar=0.4), math.pi / 2, 40),
+        (GwSignalParams(alpha=0.8 - 0.5j, r=0.6, theta=1.1, nbar=1.2), 0.9, 120),
+        # the anti-squeezed corner on the largest cutoff the search may reach
+        (GwSignalParams(alpha=2j, r=1.0, theta=0.0, nbar=2.0), 0.7, fock.GROWTH_MAX_DIM),
+    ],
+)
+def test_level_cut_marginal_is_the_leading_block(p, gamma_t, dim):
+    # the marginal is built on the fewest levels past which its population and
+    # its n^2-weighted population are at most MARGINAL_FLOOR of their totals,
+    # and never on fewer than asked for; those are the full marginal's leading block
+    n_max = 5
+    gw = fock.build_gw_density(p, dim)
+    full, _ = fock.evolved_bar_density(gw, gamma_t, dim)
+    cut, tail = fock.evolved_bar_density(gw, gamma_t, n_max + 1)
+    levels = len(cut)
+    assert cut.shape == (levels, levels) and n_max + 1 <= levels <= dim
+    ulp = np.finfo(float).eps * np.max(np.abs(full))
+    assert np.max(np.abs(cut - full[:levels, :levels])) <= 4 * ulp
+    assert tail == cut[-1, -1].real
+    pops = full.diagonal().real
+    weighted = pops * np.arange(dim) ** 2
+
+    def within_floor(first: int, slack: float) -> bool:
+        floor = fock.MARGINAL_FLOOR * slack
+        return all(x[first:].sum() <= floor * x.sum() for x in (pops, weighted))
+
+    # the slack covers the rounding of the sums, not the floor
+    assert within_floor(levels, 1 + 1e-9)
+    if levels > n_max + 1:
+        assert not within_floor(levels - 1, 1 - 1e-9)
+    assert (levels == n_max + 1) == (gamma_t == 0.0)
+    with pytest.raises(ValueError, match=f"min_levels must lie in 1..{dim}, got {dim + 1}"):
+        fock.evolved_bar_density(gw, gamma_t, dim + 1)
 
 
 @pytest.mark.parametrize("gt", [0.0, math.pi / 2, math.pi, -0.7])
@@ -309,9 +387,8 @@ def test_bar_marginal_at_growth_max_dim(gt):
     # the anti-squeezed corner forced onto the largest cutoff the search may reach,
     # where the rescaled factors of the marginal come closest to the double range
     p = GwSignalParams(alpha=2j, r=1.0, theta=0.0, nbar=2.0)
-    dim = fock.GROWTH_MAX_DIM
-    bar = bar_on_cutoff(p, gt, dim)
-    assert bar.dim == dim and np.all(np.isfinite(bar.rho))
+    bar = bar_on_cutoff(p, gt, fock.GROWTH_MAX_DIM, 7)
+    assert bar.dim >= 7 and np.all(np.isfinite(bar.rho))
     moments = evolved_bar_moments(p, gt)
     for n in range(7):
         assert abs(prob_n_generating(moments, n) - bar.rho[n, n].real) < 1e-8, n
@@ -431,7 +508,7 @@ def test_oracle_reaches_past_max_dim_at_the_anti_squeezed_corner():
     p = GwSignalParams(alpha=2.0, r=1.0, theta=math.pi, nbar=2.0)
     gt = 0.7
     table = fock.oracle_pn_table(p, gt, 6)
-    assert fock.MAX_DIM < fock.oracle_bar_state(p, gt).dim <= fock.GROWTH_MAX_DIM
+    assert fock.MAX_DIM < fock._gw_density(p, fock.DEFAULT_TAIL_TOL).dim <= fock.GROWTH_MAX_DIM
     bar = evolved_bar_moments(p, gt)
     for n in range(7):
         assert abs(prob_n_generating(bar, n) - table[n]) < 1e-8

@@ -20,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from gravoptics import cli
 from test_tooling import census, load_file, profiled
 
@@ -77,19 +78,23 @@ def test_reproduce_figure_data_prints_the_figure_outputs(tmp_path):
 def test_compare_lists_every_difference_by_subcommand(monkeypatch, capsys):
     # the two checkouts' worker rows are canned, so no checkout runs
     compare = load_script()
+    # an oracle row carries the hex of the float64 values it printed
+    moments = np.array([0.5, 1.25, 2.0])
     parent = [
-        ("seed 901 probs-0 csv", "probs", "a", 0),
-        ("seed 901 g2-1 csv", "g2", "b", 0),
-        ("seed 901 probs-0 rejected", "probs", "c", 1),
-        ("seed 901 tomo-2 json", "tomo", "d", 0),
-        ("seed 902 probs-3 json", "probs", "e", 0),
-        ("seed 901 oracle-0-0 table", "oracle", "f", 0),
-        ("seed 901 oracle-0-0 moments", "oracle", "g", 0),
+        ("seed 901 probs-0 csv", "probs", "a", 0, None),
+        ("seed 901 g2-1 csv", "g2", "b", 0, None),
+        ("seed 901 probs-0 rejected", "probs", "c", 1, None),
+        ("seed 901 tomo-2 json", "tomo", "d", 0, None),
+        ("seed 902 probs-3 json", "probs", "e", 0, None),
+        ("seed 901 oracle-0-0 table", "oracle", "f", 0, np.array([0.75, 0.25]).tobytes().hex()),
+        ("seed 901 oracle-0-0 moments", "oracle", "g", 0, moments.tobytes().hex()),
     ]
     change = list(parent)
-    for i in (0, 1, 2, 4, 6):
-        label, command, _, code = parent[i]
-        change[i] = (label, command, "moved", code)
+    for i in (0, 1, 2, 4):
+        label, command, _, code, values = parent[i]
+        change[i] = (label, command, "moved", code, values)
+    shifted = moments * [1.0, 1.0 + 2.0**-50, 1.0 - 2.0**-49]
+    change[6] = (*parent[6][:2], "moved", 0, shifted.tobytes().hex())
     assert compare.differing(parent, parent) == {}
     assert compare.differing(parent, change) == {
         "probs": ["seed 901 probs-0 csv", "seed 901 probs-0 rejected", "seed 902 probs-3 json"],
@@ -111,8 +116,14 @@ def test_compare_lists_every_difference_by_subcommand(monkeypatch, capsys):
     assert compare.compare(Path("parent"), Path("change")) is False
     printed = capsys.readouterr().out
     assert "probs: 3 differ\n  seed 901 probs-0 csv\n" in printed and "g2: 1 differ" in printed
-    assert "oracle: 1 differ\n  seed 901 oracle-0-0 moments\n" in printed
+    largest = f"largest relative change {2.0**-49:.3g}"
+    assert f"oracle: 1 differ\n  seed 901 oracle-0-0 moments: {largest}\n" in printed
+    assert f"oracle moments: {largest}\n" in printed and "oracle table:" not in printed
     assert "5 of 7 outputs differ" in printed
+    # a value that moves off zero changes by inf; a draw that raised on one side, by nothing
+    off_zero = compare.relative_change(np.zeros(2).tobytes().hex(), shifted[:2].tobytes().hex())
+    assert off_zero == np.inf
+    assert compare.relative_change(None, shifted.tobytes().hex()) is None
     change[:] = parent
     assert compare.compare(Path("parent"), Path("change")) is True
     printed = capsys.readouterr().out
