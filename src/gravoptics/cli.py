@@ -93,7 +93,11 @@ class ConfigError(Exception):
 
 def _check_integer(value, key: str, lo: int, hi: float = math.inf) -> None:
     """Reject all but a JSON integer in [lo, hi] (an integral float such as 3.0 counts)."""
-    if type(value) not in (int, float) or not float(value).is_integer() or not lo <= value <= hi:
+    try:
+        integral = type(value) in (int, float) and float(value).is_integer()
+    except OverflowError:  # an integer beyond float range
+        integral = False
+    if not integral or not lo <= value <= hi:
         raise ConfigError(f"{key}: must be an integer in [{lo}, {hi}], got {value!r}")
 
 
@@ -355,9 +359,13 @@ def load_config(path: str | None) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig.from_dict({})
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"--config: cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -788,6 +796,13 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> tuple[list[str], list[list], 
 # entry point
 
 
+def _seed(text: str) -> int:
+    """The --seed type: a non-negative decimal integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -808,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "tomo":  # tomo writes one JSON document
             sp.add_argument("--format", default=None, choices=("csv", "json"))
         if name in ("tomo", "oracle-check"):  # no other subcommand draws random numbers
-            sp.add_argument("--seed", type=int, default=None, help="random-draw seed")
+            sp.add_argument("--seed", type=_seed, default=None, help="random-draw seed")
     return parser
 
 
@@ -829,7 +844,12 @@ def main(argv: list[str] | None = None) -> int:
             header, rows = command(cfg, args)
 
         # the output file is opened only once the command has succeeded
-        with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as out:
+        try:
+            out_file = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+        except OSError as exc:  # a directory, a missing parent, no permission
+            key = "--out" if args.out else "output.path"
+            raise ConfigError(f"{key}: cannot write {out_path}: {exc.strerror}") from exc
+        with out_file as out:
             if args.command == "tomo":
                 out.write(text)
             else:

@@ -25,13 +25,11 @@ checked on the levels that carry its mass only (MARGINAL_FLOOR).
 Each density matrix is checked for unit trace, Hermiticity (through one
 temporary) and positivity (a Cholesky factorization of rho itself, its
 diagonal shifted by the floor and then restored bit for bit); numpy does all
-of it.  The displacement and squeeze chains are independent LAPACK work, so
-the squeeze runs on a second thread of each build while the caller makes the
-displacement.  Each full-size array goes before the next is made, and the
-marginal drops the wave density once it holds the band: at cutoff 320 one
-draw holds at most 3.0 density-sized complex arrays at once, not 3.5, and
-the peak is the wave's positivity check (rho, numpy's working copy of it and
-the Cholesky factor).
+of it.  Each full-size array goes before the next is made, and the marginal
+drops the wave density once it holds the band: at cutoff 320 one draw holds
+at most 3.0 density-sized complex arrays at once, not 3.5, and the peak is
+the wave's positivity check (rho, numpy's working copy of it and the
+Cholesky factor).
 ``oracle_pn_table`` and ``oracle_moments_and_g2`` read only the marginal's
 diagonal, and they share the latest checked one: asking both of one state
 builds its wave density and its marginal once.
@@ -40,7 +38,6 @@ builds its wave density and its marginal once.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,33 +189,6 @@ def thermal_populations(nbar: float, dim: int) -> NDArray[np.float64]:
     return pops / pops.sum()
 
 
-class _Stage(threading.Thread):
-    """``call(*args)`` on a thread of its own, started at once.
-
-    After ``join``, ``result`` returns the call's value or raises its error on
-    the joining thread.
-    """
-
-    def __init__(self, call, *args):
-        super().__init__()
-        self._call = call, args
-        self._outcome = None
-        self.start()
-
-    def run(self):
-        call, args = self._call
-        try:
-            self._outcome = call(*args), None
-        except BaseException as error:  # re-raised by result() on the joining thread
-            self._outcome = None, error
-
-    def result(self):
-        value, error = self._outcome
-        if error is not None:
-            raise error
-        return value
-
-
 def build_gw_density(
     p: GwSignalParams, dim: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> TruncatedState:
@@ -233,14 +203,8 @@ def build_gw_density(
     pops = thermal_populations(p.nbar, dim)
     root_pops = np.sqrt(pops[pops >= THERMAL_FLOOR * pops[0]])
     k = len(root_pops)
-    # the two chain exponentials are independent LAPACK work, which releases
-    # the interpreter lock: the squeeze runs on a second thread meanwhile
-    squeeze = _Stage(squeeze_blocks, p.r, p.theta, dim)
-    try:
-        factor, _ = displacement_op(p.alpha, dim)
-    finally:
-        squeeze.join()
-    even, odd, _ = squeeze.result()
+    factor, _ = displacement_op(p.alpha, dim)
+    even, odd, _ = squeeze_blocks(p.r, p.theta, dim)
     # S sqrt(rho_th) maps each parity of levels to itself, so D meets the even
     # and the odd columns through half-size blocks; M's k columns go over D's
     # leading ones, and the odd product reads none that the even one wrote

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import math
@@ -210,6 +211,46 @@ def test_bad_config_exit_code(tmp_path):
     proc = run_cli(["probs", "--config", str(path)])
     assert proc.returncode == 1
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["directory", "unreadable", "not utf-8"])
+def test_unreadable_config_exit_code(tmp_path, capsys, monkeypatch, case):
+    path = tmp_path / "c.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "unreadable":
+        path.write_text("{}")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        # a mode of 000 does not stop a superuser, so the read itself is refused
+        monkeypatch.setattr(Path, "read_text", denied)
+    else:
+        path.write_bytes(b'{"n_max": 3, "gw": "\xff"}')
+    assert main(["probs", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    message = "not UTF-8" if case == "not utf-8" else "--config: cannot read"
+    assert out == "" and err.startswith("config error: ") and message in err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("key", ["--out", "output.path"])
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_output_exit_code(tmp_path, capsys, key, target):
+    out_path = tmp_path / "dir" if target == "directory" else tmp_path / "missing" / "o.csv"
+    (tmp_path / "dir").mkdir()
+    config = {"detector": WEBER}
+    if key == "output.path":
+        config["output"] = {"path": str(out_path)}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    argv = ["physical", "--config", str(path)]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + (["--out", str(out_path)] if key == "--out" else [])) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {key}: cannot write {out_path}: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(
@@ -464,6 +505,13 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
         # g2 of direct gw parameters reads no detector, gamma_t alone or physical
         ({"subcommand": "g2"}, "detector"),
         ({"subcommand": "g2", "detector": WEBER}, "detector"),
+        # integers beyond float range
+        ({"n_max": 10**400}, "n_max"),
+        ({"subcommand": "tomo", "phases": 10**400}, "phases"),
+        (
+            {"sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": 10**400}]},
+            "sweep[0].steps",
+        ),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):
@@ -1015,20 +1063,23 @@ assert "numpy.ma" not in sys.modules
 
 
 @pytest.mark.parametrize(
-    ("command", "config"),
+    ("command", "config", "flag", "value"),
     [
-        ("probs", "fig2_probs.json"),
-        ("g2", "fig3_g2.json"),
-        ("physical", "weber_bar.json"),
-        ("tomo", "tomo_roundtrip.json"),
+        pytest.param("probs", "fig2_probs.json", "--seed", "1", id="probs-fig2_probs.json"),
+        pytest.param("g2", "fig3_g2.json", "--seed", "1", id="g2-fig3_g2.json"),
+        pytest.param("physical", "weber_bar.json", "--seed", "1", id="physical-weber_bar.json"),
+        pytest.param("tomo", "tomo_roundtrip.json", "--format", "1", id="tomo-tomo_roundtrip.json"),
+        pytest.param("tomo", "tomo_roundtrip.json", "--seed", "-1", id="tomo-negative seed"),
+        pytest.param("oracle-check", None, "--seed", "-1", id="oracle-check-negative seed"),
     ],
 )
-def test_seed_is_an_unknown_flag_where_nothing_is_drawn(capsys, command, config):
+def test_seed_is_an_unknown_flag_where_nothing_is_drawn(capsys, command, config, flag, value):
     # only tomo and oracle-check draw random numbers; elsewhere a seed would be
-    # ignored.  Likewise tomo writes JSON only, so it has no --format.
-    flag = "--format" if command == "tomo" else "--seed"
+    # ignored.  Likewise tomo writes JSON only, so it has no --format.  Where a
+    # seed is drawn from, numpy takes a non-negative one only.
+    config = ["--config", str(SCRIPTS / config)] if config else []
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(SCRIPTS / config), flag, "1"])
+        main([command, *config, flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 

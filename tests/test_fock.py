@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 import tracemalloc
 import warnings
 
@@ -135,32 +133,6 @@ def test_truncated_state_leaves_the_matrix_bit_for_bit():
     rho.flags.writeable = False
     with pytest.raises(ValueError, match="negative eigenvalue"):
         fock.TruncatedState(2, rho, 0.0)
-
-
-def test_build_hands_on_the_squeeze_stage_error(monkeypatch):
-    # the squeeze chains run on a thread of their own; its error reaches the
-    # caller, the thread is joined either way, and when both stages raise
-    # the displacement's error comes first
-    p, threads = GwSignalParams(alpha=0.5, r=0.5), threading.active_count()
-    finished = []
-
-    def squeeze_fails(*_):
-        time.sleep(0.05)
-        finished.append(True)
-        raise RuntimeError("squeeze failed")
-
-    monkeypatch.setattr(fock, "squeeze_blocks", squeeze_fails)
-    with pytest.raises(RuntimeError, match="squeeze failed"):
-        fock.build_gw_density(p, 20)
-    assert threading.active_count() == threads
-
-    def displacement_fails(*_):
-        raise ArithmeticError("displacement failed")
-
-    monkeypatch.setattr(fock, "displacement_op", displacement_fails)
-    with pytest.raises(ArithmeticError, match="displacement failed"):
-        fock.build_gw_density(p, 20)
-    assert finished == [True, True] and threading.active_count() == threads
 
 
 def peak_arrays(call, dim: int) -> float:

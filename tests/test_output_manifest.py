@@ -4,9 +4,9 @@ The figure data, the benchmark's sweeps warm-ups and ops of two seeds in CSV
 and JSON, their rejected-grid copies, the gated inputs and the Fock oracle's
 draws of two seeds are regenerated in-process; the test names the first
 output whose exit code or digest (exit code, stdout and stderr, kept apart)
-differs.  The same run, profiled on every thread it starts, is the census
-of ``test_tooling.census``: each def of the package that no pinned output
-runs is named, unless a tracer target or a ``REFERENCES`` entry keeps it.
+differs.  The same run, profiled, is the census of ``test_tooling.census``:
+each def of the package that no pinned output runs is named, unless a tracer
+target or a ``REFERENCES`` entry keeps it.
 A change that moves bytes on purpose regenerates the manifest with
 ``python3 scripts/output_manifest.py --write``.  The tool's ``--compare`` is
 checked on canned worker rows, and ``scripts/reproduce_figure_data.sh``

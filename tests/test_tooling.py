@@ -1,12 +1,10 @@
 import ast
 import cProfile
-import importlib
 import importlib.util
 import io
 import re
 import subprocess
 import sys
-import threading
 import tokenize
 from pathlib import Path
 
@@ -38,14 +36,12 @@ assert TARGETS
 
 
 def test_cli_import_loads_no_executor_or_logging():
-    # every CLI call pays its import: the oracle's second thread is a bare
-    # threading.Thread, which numpy already loads, while an executor would
-    # bring concurrent.futures and logging with it
+    # every CLI call pays its import, and an executor would bring
+    # concurrent.futures and logging with it
     code = "import sys, gravoptics.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "threading" in loaded
     assert not {"concurrent.futures", "logging"} & loaded
 
 
@@ -127,32 +123,15 @@ def _names(path: Path):
 
 
 def profiled(call, *args):
-    """``call(*args)`` under cProfile on this thread and on every thread it starts.
+    """``call(*args)`` under cProfile, and the (file, first line) of each Python function it ran.
 
-    Returns its value and the (file, first line) of each Python function that
-    ran on any of them.  A started thread's first call enters the hook that
-    starts that thread's profiler, so the hook records the function it entered.
+    The profiler sees the calling thread only, which runs all of the
+    package's code (test_package_starts_no_thread_or_process).
     """
-    profiles = [cProfile.Profile(builtins=False)]  # the census reads Python calls only
-    entered = set()
-
-    def profile_thread(frame, *_):
-        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-        profiles.append(cProfile.Profile(builtins=False))
-        profiles[-1].enable()
-
-    previous = threading.getprofile()
-    threading.setprofile(profile_thread)
-    try:
-        value = profiles[0].runcall(call, *args)
-    finally:
-        threading.setprofile(previous)
-    ran = {
-        (entry.code.co_filename, entry.code.co_firstlineno)
-        for profile in profiles
-        for entry in profile.getstats()
-    }
-    return value, ran | entered
+    profile = cProfile.Profile(builtins=False)  # the census reads Python calls only
+    value = profile.runcall(call, *args)
+    ran = {(entry.code.co_filename, entry.code.co_firstlineno) for entry in profile.getstats()}
+    return value, ran
 
 
 def census(ran: set[tuple[str, int]]) -> list[str]:
@@ -201,47 +180,25 @@ def census(ran: set[tuple[str, int]]) -> list[str]:
     ]
 
 
-def test_profiled_sees_every_thread_a_call_starts():
-    # build_gw_density runs its squeeze chains on a second thread, which a
-    # profiler of the calling thread alone never sees
-    from gravoptics import fock
-    from gravoptics.states import GwSignalParams
-
-    args = fock.build_gw_density, GwSignalParams(alpha=1.0, r=0.5), 20
-    alone = cProfile.Profile(builtins=False)
-    alone.runcall(*args)
-    seen = {(entry.code.co_filename, entry.code.co_firstlineno) for entry in alone.getstats()}
-    _, ran = profiled(*args)
-    for function in (fock.squeeze_blocks, fock._Stage.run):
-        where = (function.__code__.co_filename, function.__code__.co_firstlineno)
-        assert where in ran and where not in seen, function.__name__
-    assert seen < ran
-
-
-def test_no_tracer_target_runs_off_the_main_thread(monkeypatch):
-    # the benchmark's tracer keeps one span stack, so its targets must all run
-    # on the thread that holds it; build_gw_density's second thread runs none
-    from gravoptics import fock
-    from gravoptics.states import GwSignalParams
-
-    entered = set()
-
-    def record(frame, event, _):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    monkeypatch.setattr(fock, "_last_populations", None)
-    previous = threading.getprofile()
-    threading.setprofile(record)
-    try:
-        fock.oracle_moments_and_g2(GwSignalParams(alpha=1.0, r=0.5, nbar=0.3), 0.7)
-    finally:
-        threading.setprofile(previous)
-    assert fock.squeeze_blocks.__code__ in entered
-    for target in sorted(_targets()):
-        module, name = target.split(".")
-        function = getattr(importlib.import_module(f"gravoptics.{module}"), name)
-        assert function.__code__ not in entered, target
+def test_package_starts_no_thread_or_process():
+    # the census profiles the calling thread alone, and the benchmark's tracer
+    # keeps one span stack: both see every call only while the package runs
+    # all of its code on the caller's thread
+    spawners = ("threading", "concurrent.futures", "multiprocessing")
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports += [(path.name, node.module)]
+                imports += [(path.name, f"{node.module}.{alias.name}") for alias in node.names]
+    found = [
+        f"{name}: {module}"
+        for name, module in imports
+        if any(module == spawner or module.startswith(spawner + ".") for spawner in spawners)
+    ]
+    assert not found, found
 
 
 def test_public_names_serve_a_caller():
