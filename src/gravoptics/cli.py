@@ -24,6 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +54,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
-# the top-level keys each subcommand reads; any other one it is given is a config error
-READS = {
-    "probs": ("gw", "detector", "sweep", "n_max", "output"),
-    "g2": ("gw", "detector", "sweep", "output"),
-    "tomo": ("gw", "detector", "noise", "beta_mag", "phases", "betas", "output"),
-    "physical": ("detector", "h_strain", "output"),
-    "oracle-check": ("output",),
-}
+# upper bounds of the array lengths a config sets, each far above any checked-in value:
+# a larger one is a config error before anything is allocated
+MAX_PHASES = 10**6
+MAX_STEPS = 10**4
 # the top-level sections; every other top-level key goes to ScenarioConfig.extra
 SECTIONS = ("gw", "detector", "noise", "sweep", "output")
 
@@ -160,7 +157,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        keys = set().union(*READS.values())
+        keys = set().union(*(reads for _, _, reads in SUBCOMMANDS.values()))
         unknown = sorted(set(raw) - keys)
         if unknown:
             raise ConfigError(f"{unknown[0]}: unknown top-level key (choose from {sorted(keys)})")
@@ -208,7 +205,7 @@ class ScenarioConfig:
                 raise ConfigError(f"sweep[{i}].scale: must be 'lin' or 'log'")
             for key in ("min", "max"):
                 _check_number(axis[key], f"sweep[{i}].{key}", ">" if scale == "log" else "")
-            _check_integer(axis["steps"], f"sweep[{i}].steps", 1)
+            _check_integer(axis["steps"], f"sweep[{i}].steps", 1, MAX_STEPS)
         self._check_parameterization()
         for key, value in self.gw.items():
             # a float is a number; check_wave rejects a non-finite one in grid order
@@ -228,7 +225,7 @@ class ScenarioConfig:
 
     def check_reads(self, command: str) -> None:
         """Reject a top-level key the subcommand does not read; an empty section is absent."""
-        reads = READS[command]
+        reads = SUBCOMMANDS[command][2]
         for key in [key for key in SECTIONS if getattr(self, key)] + list(self.extra):
             if key not in reads:
                 raise ConfigError(f"{key}: not read by {command} (it reads {', '.join(reads)})")
@@ -239,7 +236,7 @@ class ScenarioConfig:
         if "n_max" in extra:
             _check_integer(extra["n_max"], "n_max", 0, counting.PN_MAX)
         if "phases" in extra:
-            _check_integer(extra["phases"], "phases", tomography.MIN_PHASES)
+            _check_integer(extra["phases"], "phases", tomography.MIN_PHASES, MAX_PHASES)
         if "h_strain" in extra:
             _check_number(extra["h_strain"], "h_strain", ">")
         if "beta_mag" in extra:
@@ -460,9 +457,18 @@ def _row_lines(rows: list) -> str:
     return "".join(",".join(_cell(type(x)) % x for x in row) + "\n" for row in rows)
 
 
-def _emit(header: list[str], rows: list | GridRows, out, fmt: str) -> None:
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
+class Run(NamedTuple):
+    """What a subcommand hands to the writer: a table, or a JSON document where header is None."""
+
+    header: list[str] | None
+    rows: list | GridRows | dict
+    status: int = EXIT_OK
+
+
+def _emit(header: list[str] | None, rows: list | GridRows | dict, out, fmt: str) -> None:
+    """Write a table as CSV or JSON records, or a document (header None) as JSON."""
+    if header is None or fmt == "json":
+        payload = rows if header is None else [dict(zip(header, row)) for row in rows]
         out.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
         return
     body = _grid_lines(rows) if isinstance(rows, GridRows) else _row_lines(rows)
@@ -473,7 +479,7 @@ def _emit(header: list[str], rows: list | GridRows, out, fmt: str) -> None:
 # subcommands
 
 
-def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], GridRows]:
+def cmd_probs(cfg: ScenarioConfig, args) -> Run:
     n_max = int(cfg.extra.get("n_max", 3))
 
     def table(columns: dict, wave: tuple) -> counting.DeltaPn:
@@ -488,7 +494,7 @@ def cmd_probs(cfg: ScenarioConfig, args) -> tuple[list[str], GridRows]:
     header = [*columns, "n", "p_n", "p_n_coherent", "delta_ratio"]
     axes = [*(values.ravel() for values in columns.values()), np.arange(n_max + 1)]
     cells = [np.broadcast_to(x, shape).ravel() for x in (d.pn, d.pn_coherent, d.ratio)]
-    return header, GridRows(axes, cells)
+    return Run(header, GridRows(axes, cells))
 
 
 def _g2_minus_1(columns: dict, wave: tuple) -> np.ndarray:
@@ -500,7 +506,7 @@ def _g2_minus_1(columns: dict, wave: tuple) -> np.ndarray:
     return g2_minus_1
 
 
-def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], GridRows]:
+def cmd_g2(cfg: ScenarioConfig, args) -> Run:
     sweep_names = [axis["parameter"] for axis in cfg.sweep]
     if not cfg.scaled and "gamma_t" in sweep_names:
         raise ConfigError(
@@ -521,10 +527,10 @@ def cmd_g2(cfg: ScenarioConfig, args) -> tuple[list[str], GridRows]:
     g2 = 1.0 + g2_minus_1
     header = sweep_names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
     axes = [values.ravel() for values in columns.values()]
-    return header, GridRows(axes, [g2, g2_minus_1, g2_minus_1 - 1.0, (g2 > 2.0).astype(int)])
+    return Run(header, GridRows(axes, [g2, g2_minus_1, g2_minus_1 - 1.0, (g2 > 2.0).astype(int)]))
 
 
-def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
+def cmd_physical(cfg: ScenarioConfig, args) -> Run:
     if cfg.physical is None:
         raise ConfigError(f"physical: detector needs {', '.join(PHYSICAL_REQUIRED)}")
     dcfg, nu, t, gamma = cfg.physical
@@ -569,10 +575,10 @@ def cmd_physical(cfg: ScenarioConfig, args) -> tuple[list[str], list[list]]:
         int(report.heating_ok) if t > 0 else -1,
         int(report.occupation_ok) if t > 0 else -1,
     ]
-    return header, [row]
+    return Run(header, [row])
 
 
-def cmd_tomo(cfg: ScenarioConfig, args) -> dict:
+def cmd_tomo(cfg: ScenarioConfig, args) -> Run:
     if cfg.output.get("format", "json") != "json":
         raise ConfigError("output.format: tomo writes JSON only")
     gamma_t = cfg.gamma_t({})
@@ -610,7 +616,7 @@ def cmd_tomo(cfg: ScenarioConfig, args) -> dict:
         "theta": abs((rec.theta - p.theta + math.pi) % (2 * math.pi) - math.pi),
         "nbar": abs(rec.nbar - p.nbar),
     }
-    return {
+    document = {
         "true": {
             "alpha_mag": abs(p.alpha),
             "alpha_phase": float(np.angle(p.alpha)),
@@ -639,13 +645,14 @@ def cmd_tomo(cfg: ScenarioConfig, args) -> dict:
             "seed": args.seed,
         },
     }
+    return Run(None, document)
 
 
 # ----------------------------------------------------------------------------
 # oracle-check suite
 
 
-def cmd_oracle_check(cfg: ScenarioConfig, args) -> tuple[list[str], list[list], bool]:
+def cmd_oracle_check(cfg: ScenarioConfig, args) -> Run:
     rng = np.random.default_rng(args.seed if args.seed is not None else 20240901)
     rows: list[list] = []
 
@@ -789,7 +796,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, args) -> tuple[list[str], list[list], 
     record("ratio_estimator_order", abs(slope - 2.0), 0.1, f"fitted slope {slope:.4f}")
 
     header = ["check", "max_error", "tolerance", "passed", "detail"]
-    return header, rows, all(row[3] for row in rows)
+    return Run(header, rows, EXIT_OK if all(row[3] for row in rows) else EXIT_NUMERICAL)
 
 
 # ----------------------------------------------------------------------------
@@ -810,13 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian wave-detector counting statistics, coherence, and tomography",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("probs", "excitation probabilities and coherent-reference deviations"),
-        ("g2", "second-order coherence sweep"),
-        ("tomo", "tomography simulation round trip"),
-        ("oracle-check", "cross-route validation suite"),
-        ("physical", "coupling / flux / noise-threshold calculator"),
-    ):
+    for name, (_, descr, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=descr)
         sp.add_argument("--config", default=None, help="JSON scenario config")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -830,18 +831,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigError("--out: must be a non-empty string, got ''")
         cfg = load_config(args.config)
         cfg.check_reads(args.command)
         out_path = args.out or cfg.output.get("path")
-
-        ok = True
-        if args.command == "tomo":
-            text = json.dumps(cmd_tomo(cfg, args), indent=2, sort_keys=False) + "\n"
-        elif args.command == "oracle-check":
-            header, rows, ok = cmd_oracle_check(cfg, args)
-        else:
-            command = {"probs": cmd_probs, "g2": cmd_g2, "physical": cmd_physical}[args.command]
-            header, rows = command(cfg, args)
+        run = SUBCOMMANDS[args.command][0](cfg, args)
 
         # the output file is opened only once the command has succeeded
         try:
@@ -850,11 +845,9 @@ def main(argv: list[str] | None = None) -> int:
             key = "--out" if args.out else "output.path"
             raise ConfigError(f"{key}: cannot write {out_path}: {exc.strerror}") from exc
         with out_file as out:
-            if args.command == "tomo":
-                out.write(text)
-            else:
-                _emit(header, rows, out, args.format or cfg.output.get("format", "csv"))
-        return EXIT_OK if ok else EXIT_NUMERICAL
+            fmt = getattr(args, "format", None) or cfg.output.get("format", "csv")  # no tomo flag
+            _emit(run.header, run.rows, out, fmt)
+        return run.status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -862,6 +855,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical check failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+
+# each subcommand: its function, its help text and the top-level keys it reads;
+# any other top-level key it is given is a config error
+SUBCOMMANDS = {
+    "probs": (cmd_probs, "excitation probabilities and coherent-reference deviations",
+              ("gw", "detector", "sweep", "n_max", "output")),
+    "g2": (cmd_g2, "second-order coherence sweep", ("gw", "detector", "sweep", "output")),
+    "tomo": (cmd_tomo, "tomography simulation round trip",
+             ("gw", "detector", "noise", "beta_mag", "phases", "betas", "output")),
+    "oracle-check": (cmd_oracle_check, "cross-route validation suite", ("output",)),
+    "physical": (cmd_physical, "coupling / flux / noise-threshold calculator",
+                 ("detector", "h_strain", "output")),
+}
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -67,30 +67,28 @@ class TomographyTerms:
         return self.dG0 + self.dG1 + self.dG2 + self.dG4_noise
 
 
-def quadrature_variance_normal(p: GwSignalParams, phi: float) -> float:
+def quadrature_variance_normal(p: GwSignalParams, phi):
     """<:(Delta h_phi)^2:> = (nbar + 1/2)[cosh 2r - sinh 2r cos(theta - 2 phi)] - 1/2.
 
-    Negative values signal squeezing below vacuum; the floor is -1/2.
+    phi is a number or an array of phases.  Negative values signal squeezing
+    below vacuum; the floor is -1/2.
     """
     return (p.nbar + 0.5) * (
-        math.cosh(2 * p.r) - math.sinh(2 * p.r) * math.cos(p.theta - 2.0 * phi)
+        math.cosh(2 * p.r) - math.sinh(2 * p.r) * np.cos(p.theta - 2.0 * phi)
     ) - 0.5
 
 
-def quadrature_number_correlation(p: GwSignalParams, phi: float) -> float:
+def quadrature_number_correlation(p: GwSignalParams, phi):
     """<:Delta h_phi Delta n:> = sqrt(2) Re[e^{-i phi}(alpha ntilde + alpha* mu)].
 
-    Vanishes for undisplaced states and for pure displaced states; it is the
-    displaced-thermal / displaced-squeezed discriminator.
+    phi is a number or an array of phases.  Vanishes for undisplaced states
+    and for pure displaced states; it is the displaced-thermal /
+    displaced-squeezed discriminator.
     """
     mu, ntilde, _ = p.central_moments()
     w = p.alpha * ntilde + np.conj(p.alpha) * mu
-    return math.sqrt(2.0) * (np.exp(-1j * phi) * w).real
-
-
-def intensity_fluctuation_normal(p: GwSignalParams) -> float:
-    """<:(Delta n)^2:> = 2 Re(alpha*^2 mu) + 2|alpha|^2 ntilde + ntilde^2 + |mu|^2 (Wick excess)."""
-    return p.detector_scalars().excess
+    e = np.exp(-1j * phi)
+    return math.sqrt(2.0) * (e.real * w.real - e.imag * w.imag)
 
 
 def classical_lo_noise(lo: LocalOscillator, gamma_t: float) -> float:
@@ -98,17 +96,24 @@ def classical_lo_noise(lo: LocalOscillator, gamma_t: float) -> float:
     return 4.0 * math.cos(gamma_t) ** 4 * lo.epsilon * lo.beta_mag**4
 
 
+def _drive_terms(p: GwSignalParams, beta, phi, gamma_t: float) -> tuple:
+    """(dG1, dG2) at drive amplitude beta and phase phi, each a number or an array."""
+    s, c = math.sin(gamma_t), math.cos(gamma_t)
+    dg1 = s**3 * c * beta * quadrature_number_correlation(p, phi + math.pi / 2.0)
+    dg2 = s**2 * c**2 * np.float_power(beta, 2) * quadrature_variance_normal(p, phi)
+    return dg1, dg2
+
+
 def delta_g2_terms(p: GwSignalParams, lo: LocalOscillator, gamma_t: float) -> TomographyTerms:
     """Separable contributions to the delay-subtracted correlation.
 
-    dG0 = sin^4 <:(Dn)^2:>; dG1 = sin^3 cos |beta| <:Dh_{phi+pi/2} Dn:>;
-    dG2 = sin^2 cos^2 |beta|^2 <:(Dh_phi)^2:>; the k = 3 term vanishes under
-    stationarity; dG4 is the classical drive-noise floor.
+    dG0 = sin^4 <:(Dn)^2:>, the Wick excess of the wave;
+    dG1 = sin^3 cos |beta| <:Dh_{phi+pi/2} Dn:>; dG2 = sin^2 cos^2 |beta|^2
+    <:(Dh_phi)^2:>; the k = 3 term vanishes under stationarity; dG4 is the
+    classical drive-noise floor.
     """
-    s, c = math.sin(gamma_t), math.cos(gamma_t)
-    dg0 = s**4 * intensity_fluctuation_normal(p)
-    dg1 = s**3 * c * lo.beta_mag * quadrature_number_correlation(p, lo.phi + math.pi / 2.0)
-    dg2 = s**2 * c**2 * lo.beta_mag**2 * quadrature_variance_normal(p, lo.phi)
+    dg1, dg2 = _drive_terms(p, lo.beta_mag, lo.phi, gamma_t)
+    dg0 = math.sin(gamma_t) ** 4 * p.detector_scalars().excess
     return TomographyTerms(dg0, dg1, dg2, classical_lo_noise(lo, gamma_t))
 
 
@@ -253,15 +258,9 @@ def simulate_phase_sweep(
     the drive |beta (1 + xi)| at phase phi + pi, which flips the sign of dG1
     and leaves dG2 unchanged.
 
-    The columns are evaluated as arrays over phis, in the operation order of
-    `delta_g2_terms`, so each entry equals its per-phase value bit for bit.  The
-    noise is one draw of len(phis) normals, the same stream as one draw per
-    phase.  Two spellings keep the rounding of the scalar path.  The real part
-    of e^{-i phi} w is written out, because a complex array product may be
-    evaluated with fused multiply-adds where the scalar one is not.  |beta|^2
-    is `float_power`, which calls the C library's pow as `beta ** 2` on a
-    float does; that pow is not always correctly rounded, so numpy's array
-    square can differ from it in the last bit.
+    The columns are `_drive_terms` over the phases, the formulas of
+    `delta_g2_terms`.  The noise is one draw of len(phis) normals, the same
+    stream as one draw per phase.
     """
     if epsilon > 0.0 and rng is None:
         raise ValueError("noise injection needs an rng for reproducibility")
@@ -273,14 +272,4 @@ def simulate_phase_sweep(
         beta, phase = np.where(flip, -beta, beta), np.where(flip, phis + math.pi, phis)
     elif beta_mag < 0:
         raise ValueError("beta_mag and epsilon must be >= 0")
-    mu, ntilde, _ = p.central_moments()
-    w = p.alpha * ntilde + np.conj(p.alpha) * mu
-    s, c = math.sin(gamma_t), math.cos(gamma_t)
-    e = np.exp(-1j * (phase + math.pi / 2.0))
-    dg1 = s**3 * c * beta * (math.sqrt(2.0) * (e.real * w.real - e.imag * w.imag))
-    dg2 = s**2 * c**2 * np.float_power(beta, 2) * (
-        (p.nbar + 0.5)
-        * (math.cosh(2 * p.r) - math.sinh(2 * p.r) * np.cos(p.theta - 2.0 * phase))
-        - 0.5
-    )
-    return phis, dg1, dg2
+    return (phis, *_drive_terms(p, beta, phase, gamma_t))

@@ -1,7 +1,9 @@
+import argparse
 import errno
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -236,9 +238,10 @@ def test_unreadable_config_exit_code(tmp_path, capsys, monkeypatch, case):
 
 
 @pytest.mark.parametrize("key", ["--out", "output.path"])
-@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("target", ["directory", "missing parent", "empty"])
 def test_unwritable_output_exit_code(tmp_path, capsys, key, target):
-    out_path = tmp_path / "dir" if target == "directory" else tmp_path / "missing" / "o.csv"
+    targets = {"directory": tmp_path / "dir", "missing parent": tmp_path / "missing" / "o.csv"}
+    out_path = targets.get(target, "")
     (tmp_path / "dir").mkdir()
     config = {"detector": WEBER}
     if key == "output.path":
@@ -249,7 +252,8 @@ def test_unwritable_output_exit_code(tmp_path, capsys, key, target):
     before = sorted(tmp_path.rglob("*"))
     assert main(argv + (["--out", str(out_path)] if key == "--out" else [])) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"config error: {key}: cannot write {out_path}: ")
+    cause = f"cannot write {out_path}: " if out_path else "must be a non-empty string, got ''"
+    assert out == "" and err.startswith(f"config error: {key}: {cause}")
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -510,6 +514,17 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
         ({"subcommand": "tomo", "phases": 10**400}, "phases"),
         (
             {"sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": 10**400}]},
+            "sweep[0].steps",
+        ),
+        # array lengths above their bounds, rejected before anything is allocated
+        ({"subcommand": "tomo", "phases": cli.MAX_PHASES + 1}, "phases"),
+        ({"subcommand": "tomo", "phases": 10**20}, "phases"),
+        (
+            {"sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": cli.MAX_STEPS + 1}]},
+            "sweep[0].steps",
+        ),
+        (
+            {"sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": 10**20}]},
             "sweep[0].steps",
         ),
     ],
@@ -1019,6 +1034,21 @@ def test_unknown_top_level_key_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["probs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
     assert "detectr" in capsys.readouterr().err
+
+
+def test_subcommand_table_is_the_one_source():
+    # the parser offers exactly the subcommands of cli.SUBCOMMANDS, and README's
+    # table lists for each the top-level keys it reads (a parenthesized remark aside)
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli.SUBCOMMANDS)
+    lines = (SCRIPTS.parent / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | top-level keys it reads |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        name, keys = line.strip("|").split("|")
+        table[name.strip(" `")] = tuple(re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", keys)))
+    assert table == {name: reads for name, (_, _, reads) in cli.SUBCOMMANDS.items()}
 
 
 def test_subcommands_do_not_import_scipy(tmp_path):
