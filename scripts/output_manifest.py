@@ -31,9 +31,11 @@ platform string: it does not round anything.
 each in a ``python -B`` worker on that checkout's ``src/``, lists every
 output that differs, grouped by subcommand with a count per group, and exits
 1 on any difference.  A moved oracle draw that printed an array on both
-sides is listed with the largest relative change of its float64 values, and
-the largest over the moved P_n tables and over the moved moment triples
-close the list.
+sides is listed with the largest relative change of its float64 values and
+with each side's worst distance to the 80-digit referee of
+``perfbench/referee.py`` (P_n absolute, g2 relative; the mean and second
+moment of a moment triple have no referee entry), and the largest of each
+over the moved P_n tables and over the moved moment triples close the list.
 """
 
 from __future__ import annotations
@@ -281,6 +283,27 @@ def relative_change(before: str | None, after: str | None) -> float | None:
     return float(ratios.max(initial=0.0))
 
 
+def referee_distances(label: str, sides: list[str]) -> list[float]:
+    """Worst distance of each side's array of a moved oracle draw to the 80-digit referee.
+
+    A P_n table is compared level by level, absolutely; a moment triple by
+    its g2, relatively.  The draw is made again from its label, by this
+    directory's ``perfbench/workloads.oracle_round``.
+    """
+    referee = _load("manifest_referee", ROOT / "perfbench" / "referee.py")
+    workloads = _load("manifest_workloads", ROOT / "perfbench" / "workloads.py")
+    _, seed, key, kind = label.split()
+    prm = next(op.params for op in workloads.oracle_round(int(seed)) if op.key == key)
+    state = referee.direct(prm["alpha"], prm["r"], prm["theta"], prm["nbar"])
+    mpf = referee.mpmath.mpf
+    arrays = [np.frombuffer(bytes.fromhex(side)) for side in sides]
+    if kind == "table":
+        ref = referee.pn(state, prm["gamma_t"], len(arrays[0]) - 1)
+        return [max(float(abs(mpf(float(v)) - r)) for v, r in zip(a, ref)) for a in arrays]
+    ref_g2 = referee.g2(state)[0]
+    return [float(abs(mpf(float(a[2])) - ref_g2) / ref_g2) for a in arrays]
+
+
 def compare(parent: Path, change: Path) -> bool:
     """Run ``rows`` on both checkouts and print what differs, or a summary when nothing does."""
     results = []
@@ -292,19 +315,28 @@ def compare(parent: Path, change: Path) -> bool:
             results.append(json.loads(proc.stdout))
     groups = differing(*results)
     values = [{row[0]: row[4] for row in side} for side in results]
-    largest: dict[str, float] = {}
+    # per kind of moved draw: the largest relative change and each side's worst referee distance
+    largest: dict[str, list[float]] = {}
     for command, labels in groups.items():
         print(f"{command}: {len(labels)} differ")
         for label in labels:
-            change = relative_change(values[0][label], values[1][label])
+            sides = [values[0][label], values[1][label]]
+            change = relative_change(*sides)
             if change is None:
                 print(f"  {label}")
                 continue
-            print(f"  {label}: largest relative change {change:.3g}")
-            kind = label.rsplit(" ", 1)[1]
-            largest[kind] = max(largest.get(kind, 0.0), change)
-    for kind, change in largest.items():
-        print(f"oracle {kind}: largest relative change {change:.3g}")
+            before, after = referee_distances(label, sides)
+            print(
+                f"  {label}: largest relative change {change:.3g}, "
+                f"referee distance {before:.3g} -> {after:.3g}"
+            )
+            worst = largest.setdefault(label.rsplit(" ", 1)[1], [0.0, 0.0, 0.0])
+            worst[:] = map(max, worst, (change, before, after))
+    for kind, (change, before, after) in largest.items():
+        print(
+            f"oracle {kind}: largest relative change {change:.3g}, "
+            f"worst referee distance {before:.3g} -> {after:.3g}"
+        )
     if groups:
         print(f"{sum(map(len, groups.values()))} of {len(results[0])} outputs differ")
         return False

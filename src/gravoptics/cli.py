@@ -58,6 +58,8 @@ EXIT_NUMERICAL = 2
 # a larger one is a config error before anything is allocated
 MAX_PHASES = 10**6
 MAX_STEPS = 10**4
+# the product of a sweep's steps: the number of grid points
+MAX_POINTS = 10**6
 # the top-level sections; every other top-level key goes to ScenarioConfig.extra
 SECTIONS = ("gw", "detector", "noise", "sweep", "output")
 
@@ -206,6 +208,9 @@ class ScenarioConfig:
             for key in ("min", "max"):
                 _check_number(axis[key], f"sweep[{i}].{key}", ">" if scale == "log" else "")
             _check_integer(axis["steps"], f"sweep[{i}].steps", 1, MAX_STEPS)
+        points = math.prod(int(axis["steps"]) for axis in self.sweep)
+        if points > MAX_POINTS:
+            raise ConfigError(f"sweep: {points} grid points, more than {MAX_POINTS}")
         self._check_parameterization()
         for key, value in self.gw.items():
             # a float is a number; check_wave rejects a non-finite one in grid order

@@ -4,19 +4,22 @@ Works at desk scale only (|alpha| of order unity, r <= 1 or so, nbar a few):
 exact density matrices on a per-mode cutoff, an exactly number-conserving
 exchange unitary built block-by-block, and direct operator averages.
 
-Every generator exponentiated here is a zero-diagonal Hermitian tridiagonal
-chain: the displacement on all levels, the squeeze once on the even and once
-on the odd levels, the exchange on each total-number block.  ``_chain_expm``
-turns each chain real by a diagonal phase similarity and exponentiates the
-same truncated matrix through one real SVD of its half-size block linking
-even to odd levels; no state the oracle checks is built from the Gaussian
-kernels it is checked against.  The wave density is M M† with
-M = D S sqrt(rho_th) along one path: M has one column per thermal level
-whose population is at least THERMAL_FLOOR (2^-80) of the ground level's,
-k of them (1 at nbar = 0, 35 to 125 on the benchmark's draws), so its
-products cost dim^2 k, not dim^3; S is never formed whole, D meets its two
-parity blocks through half-size products, M and its conjugate are written
-over D's own columns, and alpha = 0 and r = 0 run as exact identity chains.
+Every generator exponentiated here is a phase-rotated real antisymmetric
+tridiagonal chain: D(alpha) = e^{i phi n} D(|alpha|) e^{-i phi n} on all
+levels, S(xi) = e^{i theta n/2} S(r) e^{-i theta n/2} once on the even and
+once on the odd levels, and the exchange on each total-number block is
+diag(i^j) R diag(i^j)†.  ``_chain_expm`` is the one kernel: the orthogonal
+exponential R of a real chain, from one real SVD of the half-size block
+linking its even levels to its odd ones; the phases are applied to thin
+factors only.  No state the oracle checks is built from the Gaussian kernels
+it is checked against.  The wave density is N N† with
+N = e^{i phi n} R_D e^{i (theta/2 - phi) n} R_S sqrt(rho_th): N has one column
+per thermal level whose population is at least THERMAL_FLOOR (2^-80) of the
+ground level's, k of them (1 at nbar = 0), so its products cost dim^2 k, not
+dim^3; R_S is formed on those k columns only, and R_D meets each parity of
+them through one half-width real product.  N N† is written as a symmetric
+real part and an antisymmetric imaginary part, so rho is Hermitian bit for
+bit, and alpha = 0 and r = 0 run as exact identity rotations.
 The detector marginal is the sum over the exact binomial Kraus amplitudes
 <k, m| U |k+m, 0>, never the joint state.  Its populations on every level
 come first, through one Toeplitz mat-vec on the wave's diagonal; the matrix
@@ -26,10 +29,9 @@ Each density matrix is checked for unit trace, Hermiticity (through one
 temporary) and positivity (a Cholesky factorization of rho itself, its
 diagonal shifted by the floor and then restored bit for bit); numpy does all
 of it.  Each full-size array goes before the next is made, and the marginal
-drops the wave density once it holds the band: at cutoff 320 one draw holds
-at most 3.0 density-sized complex arrays at once, not 3.5, and the peak is
-the wave's positivity check (rho, numpy's working copy of it and the
-Cholesky factor).
+drops the wave density once it holds the band, so the peak of a draw is the
+wave's positivity check: rho, numpy's working copy of it and the Cholesky
+factor.
 ``oracle_pn_table`` and ``oracle_moments_and_g2`` read only the marginal's
 diagonal, and they share the latest checked one: asking both of one state
 builds its wave density and its marginal once.
@@ -109,74 +111,49 @@ def annihilation(dim: int) -> NDArray[np.float64]:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def _chain_expm(off: NDArray) -> NDArray[np.complex128]:
-    """exp(-i H) for the Hermitian tridiagonal H with zero diagonal and H[j+1, j] = off[j].
+def _chain_expm(c: NDArray, columns: int | None = None) -> tuple[NDArray[np.float64], float]:
+    """Leading columns of the orthogonal exp(K), K[j+1, j] = c[j] = -K[j, j+1], and its leakage.
 
-    The diagonal phase similarity H = P T P† with P = diag(prod_{i<j} off_i / |off_i|)
-    makes T real symmetric with T[j+1, j] = |off_j|.  T only links even levels to
-    odd ones: on (even, odd) it is [[0, B], [B^T, 0]] with the lower-bidiagonal
-    B[i, i] = |off_(2i)|, B[i+1, i] = |off_(2i+1)| of size ceil(n/2) x floor(n/2).
-    One SVD B = U s V^T of that half-size block gives cos T = U cos(s) U^T on the
-    even levels (cos = 1 on the null vector of an odd-length chain) and
-    V cos(s) V^T on the odd ones, and sin T = U sin(s) V^T between them
-    (Golub & Kahan 1965).  Phases multiply exactly for real or imaginary couplings.
+    K only links even levels to odd ones: on (even, odd) it is [[0, -B], [B^T, 0]]
+    with the lower-bidiagonal B[i, i] = c_(2i), B[i+1, i] = -c_(2i+1) of size
+    ceil(n/2) x floor(n/2).  One SVD B = U s V^T of that half-size block gives
+    U cos(s) U^T on the even levels (cos = 1 on the null vector of an
+    odd-length chain), V cos(s) V^T on the odd ones, -U sin(s) V^T from odd to
+    even and its negative transpose from even to odd (Golub & Kahan 1965).
+    Only the leading ``columns`` levels are formed (all by default), even
+    levels first: the columns are levels 0, 2, 4, ... then 1, 3, 5, ...  Each
+    column is divided by its norm; truncation makes the top columns lose
+    fidelity rather than norm, so the largest deficit, the leakage, stays at
+    rounding level.  It is still measured and returned.
     """
-    off = np.asarray(off, dtype=complex)
-    mag = np.abs(off)
-    size = len(off) + 1
-    unit = np.ones(size, dtype=complex)
-    np.divide(off, mag, out=unit[1:], where=mag > 0.0)
-    phase = np.cumprod(unit)
+    size = len(c) + 1
+    columns = size if columns is None else columns
     n_even, n_odd = (size + 1) // 2, size // 2
+    k_even, k_odd = (columns + 1) // 2, columns // 2
     coupling = np.zeros((n_even, n_odd))
-    coupling[np.arange(n_odd), np.arange(n_odd)] = mag[0::2]
-    coupling[np.arange(1, n_even), np.arange(n_even - 1)] = mag[1::2]
+    coupling[np.arange(n_odd), np.arange(n_odd)] = c[0::2]
+    coupling[np.arange(1, n_even), np.arange(n_even - 1)] = -c[1::2]
     u, s, vt = np.linalg.svd(coupling)
     cos_even = np.ones(n_even)
     cos_even[:n_odd] = np.cos(s)
-    op = np.empty((size, size), dtype=complex)
-    op[0::2, 0::2] = (u * cos_even) @ u.T
-    op[1::2, 1::2] = (vt.T * np.cos(s)) @ vt
-    sin_link = (u[:, :n_odd] * np.sin(s)) @ vt
-    op[0::2, 1::2] = -1j * sin_link
-    op[1::2, 0::2] = -1j * sin_link.T
-    op *= phase[:, None]
-    op *= phase.conj()
-    return op
-
-
-def _renormalize_columns(op: NDArray[np.complex128]) -> tuple[NDArray[np.complex128], float]:
-    """Divide out, in place, a truncated unitary's column-norm deficit; the largest is the leakage.
-
-    Truncation makes the top columns lose fidelity rather than norm, so the
-    leakage stays at rounding level; it is still measured and returned.
-    """
+    link = (u[:, :n_odd] * -np.sin(s)) @ vt  # exp(K) from the odd levels to the even ones
+    op = np.empty((size, k_even + k_odd))
+    op[0::2, :k_even] = (u * cos_even) @ u[:k_even].T
+    op[1::2, :k_even] = -link[:k_even].T
+    op[0::2, k_even:] = link[:, :k_odd]
+    op[1::2, k_even:] = (vt.T * np.cos(s)) @ vt[:, :k_odd]
     norms = np.linalg.norm(op, axis=0)
     op /= norms
     # initial: the empty odd block of a one-level cutoff leaks nothing
     return op, float(np.max(np.abs(1.0 - norms), initial=0.0))
 
 
-def displacement_op(alpha: complex, dim: int) -> tuple[NDArray[np.complex128], float]:
-    """exp(alpha a† - alpha* a) on the cutoff, as the chain with couplings i alpha sqrt(j + 1)."""
-    off = 1j * complex(alpha) * np.sqrt(np.arange(1.0, dim))
-    return _renormalize_columns(_chain_expm(off))
-
-
-def squeeze_blocks(r: float, theta: float, dim: int) -> tuple[NDArray, NDArray, float]:
-    """Even block, odd block and leakage of exp((xi* a^2 - xi a†^2) / 2), xi = r e^{i theta}.
-
-    The generator couples |j> to |j + 2> only, so S is two tridiagonal
-    chains, S[0::2, 0::2] on the even and S[1::2, 1::2] on the odd levels,
-    with couplings -i xi sqrt((j + 1)(j + 2)) / 2, and zero elsewhere.
-    """
-    xi = r * np.exp(1j * theta)
-    blocks = [np.zeros((0, 0), dtype=complex)] * 2
-    for parity in range(min(2, dim)):
-        j = np.arange(parity, dim - 2, 2, dtype=float)
-        blocks[parity] = _chain_expm(-0.5j * xi * np.sqrt((j + 1.0) * (j + 2.0)))
-    (even, even_leakage), (odd, odd_leakage) = map(_renormalize_columns, blocks)
-    return even, odd, max(even_leakage, odd_leakage)
+def _level_order(op: NDArray) -> NDArray:
+    """The columns of a ``_chain_expm`` result, even levels first, put back in level order."""
+    natural = np.empty_like(op)
+    n_even = (op.shape[1] + 1) // 2
+    natural[:, 0::2], natural[:, 1::2] = op[:, :n_even], op[:, n_even:]
+    return natural
 
 
 def thermal_populations(nbar: float, dim: int) -> NDArray[np.float64]:
@@ -192,34 +169,52 @@ def thermal_populations(nbar: float, dim: int) -> NDArray[np.float64]:
 def build_gw_density(
     p: GwSignalParams, dim: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> TruncatedState:
-    """Displaced squeezed thermal density matrix M M† with M = D S sqrt(rho_th).
+    """Displaced squeezed thermal density matrix N N†, N = D S sqrt(rho_th) up to column phases.
 
-    M has one column per thermal level whose population is at least
+    With alpha = |alpha| e^{i phi} and xi = r e^{i theta}, D = e^{i phi n} R_D e^{-i phi n}
+    and S = e^{i theta n / 2} R_S e^{-i theta n / 2} for the real rotations R_D
+    and R_S of ``_chain_expm``.  The last phase commutes with sqrt(rho_th) and
+    drops out of N N†, so N = e^{i phi n} R_D (e^{i (theta/2 - phi) n} R_S sqrt(rho_th)).
+    N has one column per thermal level whose population is at least
     THERMAL_FLOOR of the ground level's, k of them (1 at nbar = 0), so its
-    products cost dim^2 k rather than dim^3.
+    products cost dim^2 k rather than dim^3.  N is scaled to unit Frobenius
+    norm, and rho = N N† is written as Re N Re N^T + Im N Im N^T (one
+    symmetric product) plus i (G - G^T) with G = Im N Re N^T, so that rho is
+    Hermitian bit for bit.
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     pops = thermal_populations(p.nbar, dim)
     root_pops = np.sqrt(pops[pops >= THERMAL_FLOOR * pops[0]])
     k = len(root_pops)
-    factor, _ = displacement_op(p.alpha, dim)
-    even, odd, _ = squeeze_blocks(p.r, p.theta, dim)
-    # S sqrt(rho_th) maps each parity of levels to itself, so D meets the even
-    # and the odd columns through half-size blocks; M's k columns go over D's
-    # leading ones, and the odd product reads none that the even one wrote
-    for parity, block in enumerate((even, odd)):
+    levels = np.arange(dim)
+    phi = math.atan2(p.alpha.imag, p.alpha.real)
+    rotation, _ = _chain_expm(abs(p.alpha) * np.sqrt(levels[1:]))
+    twist = np.exp(1j * (0.5 * p.theta - phi) * levels)
+    # R_S sqrt(rho_th) maps each parity of levels to itself, and R_D holds its
+    # even columns before its odd ones, so each parity of the thin complex
+    # block meets a half-width real block of R_D through one real matmul
+    n_even, k_even = (dim + 1) // 2, (k + 1) // 2
+    factor = np.empty((dim, k), dtype=complex)
+    for parity in range(min(2, k)):
         roots = root_pops[parity::2]
-        factor[:, parity:k:2] = factor[:, parity::2] @ (block[:, : len(roots)] * roots)
-    del even, odd, block
-    m = factor[:, :k]
-    # conj(M) goes over D's next k columns where they fit, so it needs no array of its own
-    m_conj = np.conjugate(m, out=factor[:, k : 2 * k]) if 2 * k <= dim else m.conj()
-    rho = m @ m_conj.T
-    del factor, m, m_conj  # each full-size array goes before the next is made
-    rho /= np.trace(rho).real
-    rho += rho.conj().T
-    rho *= 0.5
+        j = np.arange(parity, dim - 2, 2, dtype=float)
+        squeeze, _ = _chain_expm(-0.5 * p.r * np.sqrt((j + 1.0) * (j + 2.0)), len(roots))
+        # the chain's columns come even levels first, and so do their roots
+        thin = squeeze * np.concatenate((roots[0::2], roots[1::2])) * twist[parity::2, None]
+        block = (rotation[:, :n_even], rotation[:, n_even:])[parity]
+        out = (factor[:, :k_even], factor[:, k_even:])[parity].view(np.float64)
+        np.matmul(block, thin.view(np.float64), out=out)
+    del rotation, block, squeeze, thin, out  # before any density-sized array is made
+    factor *= np.exp(1j * phi * levels)[:, None]
+    factor /= np.linalg.norm(factor)
+    rho = np.empty((dim, dim), dtype=complex)
+    gram = factor.imag @ factor.real.T
+    np.subtract(gram, gram.T, out=rho.imag)
+    del gram
+    flat = factor.view(np.float64)
+    rho.real = flat @ flat.T  # numpy's symmetric product of a matrix with its transpose
+    del factor, flat
     tail = float(rho[dim - 1, dim - 1].real)
     if tail > tail_tol:
         raise ValueError(f"tail mass {tail:.3e} exceeds {tail_tol}: increase dim")
@@ -287,7 +282,10 @@ def _block_unitary(
     """
     j_hi = total_n if j_hi is None else j_hi
     j = np.arange(j_lo, j_hi)
-    return _chain_expm(gamma_t * np.sqrt((total_n - j) * (j + 1.0)))
+    rotation, _ = _chain_expm(-gamma_t * np.sqrt((total_n - j) * (j + 1.0)))
+    # diag(i^j) R diag(i^j)†: entry [a, b] takes the phase i^(a - b)
+    local = np.arange(len(rotation))
+    return _level_order(rotation) * np.array([1, 1j, -1, -1j])[(local[:, None] - local) % 4]
 
 
 def beamsplitter_unitary(gamma_t: float, dim: int) -> NDArray[np.complex128]:
@@ -484,7 +482,7 @@ def oracle_moments_and_g2(
     mean_n2 = float((levels**2) @ pops)
     if mean_n == 0.0:
         raise ValueError("g2 undefined: <n> = 0")
-    return mean_n, mean_n2, (mean_n2 - mean_n) / mean_n**2
+    return mean_n, mean_n2, (mean_n2 - mean_n) / (mean_n * mean_n)
 
 
 def oracle_normal_moment(

@@ -527,6 +527,26 @@ def test_probs_point_builds_one_series_table_per_state(tmp_path, monkeypatch):
             {"sweep": [{"parameter": "r", "min": 0.1, "max": 0.9, "steps": 10**20}]},
             "sweep[0].steps",
         ),
+        # two axes each within MAX_STEPS whose grid exceeds MAX_POINTS
+        (
+            {
+                "sweep": [
+                    {"parameter": "r", "min": 0.1, "max": 0.9, "steps": cli.MAX_STEPS},
+                    {"parameter": "nbar", "min": 0.0, "max": 1.0, "steps": cli.MAX_STEPS},
+                ],
+            },
+            "sweep",
+        ),
+        (
+            {
+                "subcommand": "g2",
+                "sweep": [
+                    {"parameter": "r", "min": 0.1, "max": 0.9, "steps": 1001},
+                    {"parameter": "nbar", "min": 0.0, "max": 1.0, "steps": 1000},
+                ],
+            },
+            "sweep",
+        ),
     ],
 )
 def test_config_boundary_exit_code(tmp_path, capsys, change, key):

@@ -27,6 +27,35 @@ def bar_on_cutoff(
     return fock.TruncatedState(len(rho_bar), rho_bar / np.trace(rho_bar).real, tail)
 
 
+def displacement(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
+    """exp(alpha a† - alpha* a) and its leakage, as e^{i phi n} R e^{-i phi n}.
+
+    alpha = |alpha| e^{i phi}, and R is the real chain exponential with
+    couplings |alpha| sqrt(j + 1).
+    """
+    rotation, leakage = fock._chain_expm(abs(alpha) * np.sqrt(np.arange(1.0, dim)))
+    phase = np.exp(1j * np.angle(alpha) * np.arange(dim))
+    return phase[:, None] * fock._level_order(rotation) * phase.conj(), leakage
+
+
+def squeeze(r: float, theta: float, dim: int) -> tuple[np.ndarray, float]:
+    """exp((xi* a^2 - xi a†^2) / 2) and its leakage, as e^{i theta n/2} R e^{-i theta n/2}.
+
+    xi = r e^{i theta}, and R keeps the parity of a level: one real chain on
+    the even and one on the odd levels, with couplings
+    -(r/2) sqrt((j + 1)(j + 2)).
+    """
+    rotation = np.zeros((dim, dim))
+    leakage = 0.0
+    for parity in range(min(2, dim)):
+        j = np.arange(parity, dim - 2, 2, dtype=float)
+        chain, chain_leakage = fock._chain_expm(-0.5 * r * np.sqrt((j + 1.0) * (j + 2.0)))
+        rotation[parity::2, parity::2] = fock._level_order(chain)
+        leakage = max(leakage, chain_leakage)
+    phase = np.exp(0.5j * theta * np.arange(dim))
+    return phase[:, None] * rotation * phase.conj(), leakage
+
+
 def test_vacuum_and_thermal_densities():
     vac = fock.build_gw_density(GwSignalParams(), 12)
     assert abs(vac.rho[0, 0] - 1.0) < 1e-15
@@ -50,9 +79,8 @@ def test_wave_density_is_built_from_the_weighty_thermal_levels():
     ):
         pops = fock.thermal_populations(p.nbar, dim)
         assert np.count_nonzero(pops >= fock.THERMAL_FLOOR * pops[0]) == columns
-        d, _ = fock.displacement_op(p.alpha, dim)
-        s = np.zeros((dim, dim), dtype=complex)
-        s[0::2, 0::2], s[1::2, 1::2], _ = fock.squeeze_blocks(p.r, p.theta, dim)
+        d, _ = displacement(p.alpha, dim)
+        s, _ = squeeze(p.r, p.theta, dim)
         m = d @ s * np.sqrt(pops)
         dense = m @ m.conj().T
         dense /= np.trace(dense).real
@@ -174,24 +202,35 @@ def test_oracle_draw_holds_fewer_than_four_density_sized_arrays(monkeypatch):
 def test_structured_operators_match_dense_expm(dim):
     a = fock.annihilation(dim)
     for alpha in (0.0, 1.3, -0.7, 1.1j, complex(0.8, -0.6), 2.3 * np.exp(0.4j)):
-        d, leakage = fock.displacement_op(alpha, dim)
+        d, leakage = displacement(alpha, dim)
         ref = expm(alpha * a.T - np.conj(alpha) * a)
         assert np.max(np.abs(d - ref)) < 1e-12, alpha
         assert leakage < 1e-12
     for r, theta in ((0.4, 0.0), (1.0, math.pi), (0.7, 2.1), (1.2, -0.5)):
         xi = r * np.exp(1j * theta)
-        s = np.zeros((dim, dim), dtype=complex)
-        s[0::2, 0::2], s[1::2, 1::2], leakage = fock.squeeze_blocks(r, theta, dim)
+        s, leakage = squeeze(r, theta, dim)
         ref = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (a.T @ a.T)))
         assert np.max(np.abs(s - ref)) < 1e-12, (r, theta)
         assert leakage < 1e-12
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 21, 160])
+def test_chain_exponential_leading_columns(size):
+    # build_gw_density forms a squeeze chain on the levels the thermal floor
+    # keeps only: they are the leading columns of the whole exponential
+    c = -0.6 * np.sqrt(np.arange(1.0, size) * np.arange(2.0, size + 1))
+    whole = fock._level_order(fock._chain_expm(c)[0])
+    for columns in range(1, min(size, 6) + 1):
+        lead, leakage = fock._chain_expm(c, columns)
+        assert lead.shape == (size, columns) and leakage < 1e-12
+        np.testing.assert_allclose(fock._level_order(lead), whole[:, :columns], rtol=0, atol=1e-15)
+
+
 def test_chain_exponential_at_the_growth_cutoff():
     dim = fock.GROWTH_MAX_DIM
-    _, leakage = fock.displacement_op(2.0 * np.exp(0.3j), dim)
+    _, leakage = displacement(2.0 * np.exp(0.3j), dim)
     assert leakage < 1e-12
-    *_, leakage = fock.squeeze_blocks(1.0, 0.7, dim)
+    _, leakage = squeeze(1.0, 0.7, dim)
     assert leakage < 1e-12
     for total_n in (7, 12):
         u = fock._block_unitary(total_n, 0.0)
@@ -200,15 +239,32 @@ def test_chain_exponential_at_the_growth_cutoff():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 21, 95])
 def test_zero_coupling_chains_are_exactly_the_identity(dim):
-    # build_gw_density runs alpha = 0 and r = 0 through the same products as
-    # every other state; they keep their bits only because these are exact
-    d, leakage = fock.displacement_op(0, dim)
-    assert np.array_equal(d, np.eye(dim)) and leakage == 0.0
-    for theta in (0.0, 0.7, -2.0):
-        even, odd, leakage = fock.squeeze_blocks(0.0, theta, dim)
-        assert np.array_equal(even, np.eye((dim + 1) // 2))
-        assert np.array_equal(odd, np.eye(dim // 2))
-        assert leakage == 0.0
+    # alpha = 0 and r = 0 run through the same products as every other state;
+    # the real rotations they meet are exact: the displacement chain on dim
+    # levels, each squeeze chain on its parity's levels, whole or on its
+    # leading columns
+    for size in {dim, (dim + 1) // 2, max(1, dim // 2)}:
+        for columns in (size, (size + 1) // 2):
+            rotation, leakage = fock._chain_expm(np.zeros(size - 1), columns)
+            assert np.array_equal(fock._level_order(rotation), np.eye(size)[:, :columns])
+            assert leakage == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 10, 47, 96, 151, 199, 200])
+def test_wave_density_is_exactly_hermitian(dim):
+    # rho = N N† is written as a symmetric real part and an antisymmetric
+    # imaginary part, so rho equals its conjugate transpose bit for bit
+    rng = np.random.default_rng(dim)
+    for nbar in (0.0, 0.3, 1.7):
+        p = GwSignalParams(
+            alpha=complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
+            r=rng.uniform(0.0, 1.0),
+            theta=rng.uniform(0.0, 2.0 * math.pi),
+            nbar=nbar,
+        )
+        rho = fock.build_gw_density(p, dim, tail_tol=1.0).rho
+        assert np.array_equal(rho, rho.conj().T), (p, dim)
+        assert np.all(rho.diagonal().imag == 0.0)
 
 
 def test_beamsplitter_unitary_blocks():

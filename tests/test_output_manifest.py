@@ -75,6 +75,26 @@ def test_reproduce_figure_data_prints_the_figure_outputs(tmp_path):
     assert not FIGURE_FILES
 
 
+def test_compare_measures_moved_draws_against_the_referee():
+    # referee values rounded once are at rounding distance; an offset shows
+    # as itself, absolute for a P_n table and relative for a moment triple's g2
+    compare = load_script()
+    referee = compare._load("manifest_referee", compare.ROOT / "perfbench" / "referee.py")
+    workloads = compare._load("manifest_workloads", compare.ROOT / "perfbench" / "workloads.py")
+    prm = next(op.params for op in workloads.oracle_round(902) if op.key == "oracle-3-1")
+    state = referee.direct(prm["alpha"], prm["r"], prm["theta"], prm["nbar"])
+    table = np.array([float(p) for p in referee.pn(state, prm["gamma_t"], 5)])
+    moved = table.copy()
+    moved[2] += 1e-12
+    sides = [table.tobytes().hex(), moved.tobytes().hex()]
+    rounded, offset = compare.referee_distances("seed 902 oracle-3-1 table", sides)
+    assert rounded <= 2.0**-53 * table.max() and abs(offset - 1e-12) < 1e-15
+    g2 = float(referee.g2(state)[0])
+    triples = [np.array([1.0, 2.0, x]).tobytes().hex() for x in (g2, g2 * (1.0 + 2.0**-40))]
+    rounded, offset = compare.referee_distances("seed 902 oracle-3-1 moments", triples)
+    assert rounded <= 2.0**-53 and abs(offset - 2.0**-40) < 2.0**-50
+
+
 def test_compare_lists_every_difference_by_subcommand(monkeypatch, capsys):
     # the two checkouts' worker rows are canned, so no checkout runs
     compare = load_script()
@@ -117,8 +137,12 @@ def test_compare_lists_every_difference_by_subcommand(monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert "probs: 3 differ\n  seed 901 probs-0 csv\n" in printed and "g2: 1 differ" in printed
     largest = f"largest relative change {2.0**-49:.3g}"
-    assert f"oracle: 1 differ\n  seed 901 oracle-0-0 moments: {largest}\n" in printed
-    assert f"oracle moments: {largest}\n" in printed and "oracle table:" not in printed
+    # with each side's distance to the referee g2 of the draw the label names
+    before, after = compare.referee_distances(parent[6][0], [parent[6][4], change[6][4]])
+    assert f"{largest}, referee distance {before:.3g} -> {after:.3g}\n" in printed
+    assert f"oracle: 1 differ\n  seed 901 oracle-0-0 moments: {largest}, " in printed
+    assert f"oracle moments: {largest}, worst referee distance {before:.3g} -> " in printed
+    assert "oracle table:" not in printed
     assert "5 of 7 outputs differ" in printed
     # a value that moves off zero changes by inf; a draw that raised on one side, by nothing
     off_zero = compare.relative_change(np.zeros(2).tobytes().hex(), shifted[:2].tobytes().hex())
