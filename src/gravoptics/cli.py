@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,7 +46,7 @@ from .dynamics import (
     lyapunov_bar_marginal,
     squeezing_transfer_variance,
 )
-from .physical import DetectorConfig, coupling_gamma, graviton_flux, noise_thresholds
+from .physical import Detector, graviton_flux
 from .states import GwSignalParams, check_wave, detector_scalars, each, make_gw_state
 from .tomography import LocalOscillator
 
@@ -68,20 +68,10 @@ SCALED_KEYS = ("x_total", "fraction_q", "split")
 POLAR_KEYS = ("alpha_mag", "alpha_phase", "r", "theta", "nbar")
 CARTESIAN_KEYS = ("alpha_re", "alpha_im", "r", "theta", "nbar")
 
-# detector keys of a physical detector (the alternative is gamma_t alone),
-# with the lower bound each number must exceed (">") or reach (">=")
-PHYSICAL_KEYS = {
-    "mass": ">",
-    "length": ">",
-    "omega_ell": ">",
-    "ell": ">",
-    "gw_volume": ">",
-    "quality_factor": ">",
-    "temperature": ">=",
-    "nu": ">",
-    "t": ">=",
-}
-PHYSICAL_REQUIRED = ("mass", "length", "omega_ell")
+# detector keys of a physical detector (the alternative is gamma_t alone):
+# the fields of physical.Detector, which checks the range of each
+PHYSICAL_KEYS = tuple(f.name for f in fields(Detector))
+PHYSICAL_REQUIRED = tuple(f.name for f in fields(Detector) if f.default is MISSING)
 NOISE_KEYS = ("epsilon",)
 OUTPUT_KEYS = ("path", "format")
 
@@ -125,23 +115,22 @@ def _check_keys(section: dict, name: str, known) -> None:
             raise ConfigError(f"{name}.{key}: unknown key (choose from {', '.join(known)})")
 
 
-def _physical_detector(det: dict) -> tuple[DetectorConfig, float, float, float]:
-    """(config, nu, t, gamma_g) of a physical detector with a finite gamma_g > 0 and gamma_g t."""
-    # DetectorConfig holds the defaults of its own keys; nu and t are not among them
-    given = {key: int(v) if key == "ell" else float(v) for key, v in det.items()}
-    cfg = DetectorConfig(**{key: v for key, v in given.items() if key not in ("nu", "t")})
-    nu = given.get("nu", cfg.omega_ell)
-    t = given.get("t", 0.0)
+def _physical_detector(det: dict) -> Detector:
+    """The physical detector of the config, with a finite gamma_g > 0 and gamma_g t."""
     try:
-        gamma = coupling_gamma(cfg, nu)
+        detector = Detector(**{key: int(v) if key == "ell" else float(v) for key, v in det.items()})
+    except ValueError as exc:  # its message starts with the field out of range
+        raise ConfigError(f"detector.{exc}") from None
+    try:
+        gamma, gamma_t = detector.gamma_g, detector.gamma_t
     except (OverflowError, ZeroDivisionError):  # a power or quotient beyond float range
-        gamma = math.inf
-    if not (0.0 < gamma < math.inf and math.isfinite(gamma * t)):
+        gamma = gamma_t = math.inf
+    if not (0.0 < gamma < math.inf and math.isfinite(gamma_t)):
         raise ConfigError(
-            f"detector: the coupling gamma_g = {gamma!r} and gamma_g * t = {gamma * t!r} "
+            f"detector: the coupling gamma_g = {gamma!r} and gamma_g * t = {gamma_t!r} "
             "must be finite, with gamma_g > 0"
         )
-    return cfg, nu, t, gamma
+    return detector
 
 
 @dataclass
@@ -154,8 +143,8 @@ class ScenarioConfig:
     sweep: list = field(default_factory=list)
     output: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
-    # (config, nu, t, gamma_g) of a physical detector, computed once by validate()
-    physical: tuple[DetectorConfig, float, float, float] | None = field(default=None, init=False)
+    # the physical detector, built once by validate()
+    physical: Detector | None = field(default=None, init=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -272,11 +261,9 @@ class ScenarioConfig:
                 f"detector: incomplete physical spec (needs {', '.join(PHYSICAL_REQUIRED)})"
             )
         for key, value in det.items():
-            _check_number(value, f"detector.{key}", PHYSICAL_KEYS[key])
-        if "ell" in det:
-            _check_integer(det["ell"], "detector.ell", 1)
-            if det["ell"] % 2 == 0:
-                raise ConfigError(f"detector.ell: must be odd, got {det['ell']!r}")
+            _check_number(value, f"detector.{key}")
+        if "ell" in det and not float(det["ell"]).is_integer():
+            raise ConfigError(f"detector.ell: must be an integer, got {det['ell']!r}")
         if det:
             self.physical = _physical_detector(det)
 
@@ -311,8 +298,7 @@ class ScenarioConfig:
             return float(self.detector["gamma_t"])
         if self.physical is None:
             raise ConfigError("detector: gamma_t or a physical detector is required")
-        _, _, t, gamma = self.physical
-        return gamma * t
+        return self.physical.gamma_t
 
     def wave(self, columns: dict) -> tuple:
         """Checked (alpha, r, theta, nbar) of the gw section over grid columns ({} for one point).
@@ -536,12 +522,12 @@ def cmd_g2(cfg: ScenarioConfig, args) -> Run:
 
 
 def cmd_physical(cfg: ScenarioConfig, args) -> Run:
-    if cfg.physical is None:
+    detector = cfg.physical
+    if detector is None:
         raise ConfigError(f"physical: detector needs {', '.join(PHYSICAL_REQUIRED)}")
-    dcfg, nu, t, gamma = cfg.physical
     strain = float(cfg.extra.get("h_strain", 1e-22))
     try:
-        n_grav = graviton_flux(strain, nu)
+        n_grav = graviton_flux(strain, detector.nu)
     except (OverflowError, ZeroDivisionError):  # h_strain^2 or nu^2 beyond float range
         n_grav = math.inf
     if not 0.0 < n_grav < math.inf:
@@ -549,13 +535,13 @@ def cmd_physical(cfg: ScenarioConfig, args) -> Run:
             f"h_strain: n_grav = h_strain^2 / (32 pi nu^2 t_planck^2) = {n_grav!r} "
             "must be finite and > 0"
         )
-    gamma_t = gamma * t
+    gamma_t = detector.gamma_t
+    signal = n_grav * gamma_t * gamma_t
     try:
-        report = noise_thresholds(dcfg, nu, gamma_t, n_grav)
-        thresholds = [report.gamma_th, report.n_th]
+        thresholds = [detector.gamma_th, detector.n_th]
     except ZeroDivisionError:  # hbar Q or hbar omega_ell below float range
         thresholds = [math.inf]
-    if not all(map(math.isfinite, [n_grav * gamma_t * gamma_t, *thresholds])):
+    if not all(map(math.isfinite, [signal, *thresholds])):
         raise ConfigError(
             "detector: n_grav (gamma_g t)^2 and the noise thresholds k_B T / (hbar Q), "
             "k_B T / (hbar omega_ell) must be finite"
@@ -570,15 +556,16 @@ def cmd_physical(cfg: ScenarioConfig, args) -> Run:
         "heating_ok",
         "occupation_ok",
     ]
+    heating_ok, occupation_ok = detector.beats_noise(n_grav)
     row = [
-        gamma,
+        detector.gamma_g,
         n_grav,
         gamma_t,
-        n_grav * gamma_t * gamma_t,
+        signal,
         *thresholds,
         # gamma_th and n_th do not depend on t; the two comparisons need t > 0
-        int(report.heating_ok) if t > 0 else -1,
-        int(report.occupation_ok) if t > 0 else -1,
+        int(heating_ok) if detector.t > 0 else -1,
+        int(occupation_ok) if detector.t > 0 else -1,
     ]
     return Run(header, [row])
 

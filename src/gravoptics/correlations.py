@@ -161,7 +161,7 @@ def g2_open(
     mu_bar = e^{-kt} sin^2 mu_gw, abar_bar = e^{-kt/2} sin alpha.  Reduces to
     the ideal value at kappa = 0, and relaxes to the thermal value 2 as
     kappa t grows.  Whether heating swamps the signal is
-    ``physical.noise_thresholds``' question, not this report's.
+    ``physical.Detector.beats_noise``' question, not this report's.
     """
     decay = math.exp(-ch.kappa * t)
     grow = -math.expm1(-ch.kappa * t)

@@ -3,8 +3,9 @@
 Covers the resonant excitation-exchange (beamsplitter) dynamics, the detuned
 rotating-frame solution, Markovian open dynamics of the detector mode, and the
 squeezing-transfer diagnostic. The dimensionless product ``gamma_t``
-(coupling times time) is the evolution parameter everywhere; physical rates
-only enter through :class:`CouplingContext` and the CLI layer.
+(coupling times time) is the evolution parameter everywhere.  The detuned
+solution and the open channel take plain rates and times; a physical
+detector's own numbers live in :class:`gravoptics.physical.Detector`.
 """
 
 from __future__ import annotations
@@ -23,20 +24,6 @@ from .states import (
     reduce_modes,
     tensor,
 )
-
-
-@dataclass(frozen=True)
-class CouplingContext:
-    """Physical coupling/frequency context for one evolution window."""
-
-    gamma_g: float
-    omega_ell: float
-    nu: float
-    t: float
-
-    def __post_init__(self):
-        if self.gamma_g < 0:
-            raise ValueError("gamma_g must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -115,24 +102,27 @@ class DetunedCoefficients(NamedTuple):
     phase: complex
 
 
-def detuned_coefficients(ctx: CouplingContext) -> DetunedCoefficients:
+def detuned_coefficients(
+    gamma_g: float, omega_ell: float, nu: float, t: float
+) -> DetunedCoefficients:
     """Solve the detuned two-mode exchange in closed form.
 
-    With delta = nu - omega_ell and lambda = sqrt(4 gamma^2 + delta^2):
-    f = -2i gamma sin(lambda t / 2) / lambda and
+    With delta = nu - omega_ell and lambda = sqrt(4 gamma_g^2 + delta^2):
+    f = -2i gamma_g sin(lambda t / 2) / lambda and
     g_± = cos(lambda t / 2) ∓ i delta sin(lambda t / 2) / lambda.
-    The degenerate lambda = 0 case is the continuity limit f = -i gamma t,
+    The degenerate lambda = 0 case is the continuity limit f = -i gamma_g t,
     g_± = 1.  Unitarity |f|^2 + |g_±|^2 = 1 holds identically.
     """
-    delta = ctx.nu - ctx.omega_ell
-    gamma, t = ctx.gamma_g, ctx.t
-    lam = math.hypot(2.0 * gamma, delta)
-    phase = np.exp(-0.5j * (ctx.omega_ell + ctx.nu) * t)
+    if gamma_g < 0:
+        raise ValueError("gamma_g must be >= 0")
+    delta = nu - omega_ell
+    lam = math.hypot(2.0 * gamma_g, delta)
+    phase = np.exp(-0.5j * (omega_ell + nu) * t)
     if lam == 0.0:
-        return DetunedCoefficients(-1j * gamma * t, 1.0 + 0j, 1.0 + 0j, phase)
+        return DetunedCoefficients(-1j * gamma_g * t, 1.0 + 0j, 1.0 + 0j, phase)
     half = 0.5 * lam * t
     sinc = math.sin(half) / lam
-    f = -2j * gamma * sinc
+    f = -2j * gamma_g * sinc
     g_plus = math.cos(half) - 1j * delta * sinc
     g_minus = math.cos(half) + 1j * delta * sinc
     return DetunedCoefficients(f, g_plus, g_minus, phase)

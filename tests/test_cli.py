@@ -1162,3 +1162,26 @@ def test_physical_landmark(tmp_path):
     payload = json.loads(out.read_text())[0]
     assert 5e34 <= payload["n_grav"] <= 2e35
     assert payload["gamma_g"] > 0.0
+
+
+def test_physical_probs_and_tomo_share_gamma_t(tmp_path):
+    # one physical detector decides gamma_t for every subcommand: probs on it
+    # prints the bytes of probs on the gamma_t that physical prints, and tomo
+    # echoes that gamma_t.  temperature and quality_factor are left out: only
+    # physical reads them.
+    detector = {key: v for key, v in WEBER.items() if key not in ("temperature", "quality_factor")}
+
+    def run(command: str, config: dict, *flags: str) -> str:
+        path, out = tmp_path / "c.json", tmp_path / "o.txt"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(out), *flags]) == 0
+        return out.read_text()
+
+    physical = run("physical", {"detector": detector, "output": {"format": "json"}})
+    gamma_t = json.loads(physical)[0]["gamma_t"]
+    probs = {**DESK_PROBS, "n_max": 6}
+    assert run("probs", {**probs, "detector": detector}) == run(
+        "probs", {**probs, "detector": {"gamma_t": gamma_t}}
+    )
+    tomo = json.loads(run("tomo", {**DESK_PROBS, "detector": detector}, "--seed", "11"))
+    assert tomo["config_echo"]["gamma_t"] == gamma_t

@@ -8,7 +8,6 @@ from scipy.linalg import expm
 
 from gravoptics import fock
 from gravoptics.dynamics import (
-    CouplingContext,
     OpenChannelParams,
     bar_marginal,
     beamsplitter_map,
@@ -106,8 +105,7 @@ def test_phase_adjusted_is_conjugated_beamsplitter():
 
 
 def test_detuned_resonant_limit():
-    ctx = CouplingContext(gamma_g=0.4, omega_ell=1.0, nu=1.0, t=1.7)
-    co = detuned_coefficients(ctx)
+    co = detuned_coefficients(gamma_g=0.4, omega_ell=1.0, nu=1.0, t=1.7)
     gt = 0.4 * 1.7
     assert abs(co.f - (-1j * math.sin(gt))) < 1e-14
     assert abs(co.g_plus - math.cos(gt)) < 1e-14
@@ -118,8 +116,7 @@ def test_detuned_resonant_limit():
 @pytest.mark.parametrize("gt", [0.2, 1.0, math.pi])
 def test_detuned_unitarity_grid(ratio, gt):
     gamma = 0.3
-    ctx = CouplingContext(gamma, omega_ell=1.0, nu=1.0 + ratio * gamma, t=gt / gamma)
-    co = detuned_coefficients(ctx)
+    co = detuned_coefficients(gamma, omega_ell=1.0, nu=1.0 + ratio * gamma, t=gt / gamma)
     assert abs(abs(co.f) ** 2 + abs(co.g_minus) ** 2 - 1.0) < 1e-10
     assert abs(abs(co.f) ** 2 + abs(co.g_plus) ** 2 - 1.0) < 1e-10
     assert abs(co.g_minus * np.conj(co.f) + co.f * np.conj(co.g_plus)) < 1e-10
@@ -127,24 +124,26 @@ def test_detuned_unitarity_grid(ratio, gt):
 
 def test_detuned_specific_unitarity():
     gamma = 1.0
-    ctx = CouplingContext(gamma, omega_ell=5.0, nu=5.0 + 1.7 * gamma, t=0.4)
-    co = detuned_coefficients(ctx)
+    co = detuned_coefficients(gamma, omega_ell=5.0, nu=5.0 + 1.7 * gamma, t=0.4)
     assert abs(abs(co.f) ** 2 + abs(co.g_minus) ** 2 - 1.0) < 1e-12
 
 
 def test_detuned_zero_coupling_pure_phases():
     delta = 0.8
-    ctx = CouplingContext(0.0, omega_ell=1.0, nu=1.0 + delta, t=2.0)
-    co = detuned_coefficients(ctx)
+    co = detuned_coefficients(0.0, omega_ell=1.0, nu=1.0 + delta, t=2.0)
     assert abs(co.f) == 0.0
     assert abs(co.g_plus - np.exp(-1j * delta * 2.0 / 2.0)) < 1e-14
     assert abs(co.g_minus - np.exp(1j * delta * 2.0 / 2.0)) < 1e-14
 
 
 def test_detuned_degenerate_limit():
-    ctx = CouplingContext(0.0, omega_ell=1.0, nu=1.0, t=3.0)
-    co = detuned_coefficients(ctx)
+    co = detuned_coefficients(0.0, omega_ell=1.0, nu=1.0, t=3.0)
     assert co.f == 0.0 and co.g_plus == 1.0 and co.g_minus == 1.0
+
+
+def test_detuned_negative_coupling_rejected():
+    with pytest.raises(ValueError, match="gamma_g"):
+        detuned_coefficients(-0.1, omega_ell=1.0, nu=1.0, t=1.0)
 
 
 def test_exact_exchange_map_matches_rwa_at_small_coupling():

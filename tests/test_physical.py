@@ -1,23 +1,20 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gravoptics.physical import (
-    C,
-    G,
-    HBAR,
-    K_B,
-    T_PLANCK,
-    DetectorConfig,
-    coupling_gamma,
-    graviton_flux,
-    noise_thresholds,
-)
+from gravoptics.physical import C, G, HBAR, T_PLANCK, Detector, graviton_flux
 from gravoptics.states import GwSignalParams
 
-BAR = DetectorConfig(mass=1800.0, length=3.0, omega_ell=5600.0, ell=1, gw_volume=1.0e9)
+BAR = Detector(mass=1800.0, length=3.0, omega_ell=5600.0, ell=1, gw_volume=1.0e9)
+
+
+def at_gamma_t(detector: Detector, nu: float, gamma_t: float) -> Detector:
+    """The detector driven at nu for the time t = gamma_t / gamma_g."""
+    driven = replace(detector, nu=nu)
+    return replace(driven, t=gamma_t / driven.gamma_g)
 
 
 def test_constants_consistency():
@@ -27,18 +24,38 @@ def test_constants_consistency():
 
 def test_coupling_scalings():
     nu = 2.0 * math.pi * 100.0
-    base = coupling_gamma(BAR, nu)
+    base = replace(BAR, nu=nu).gamma_g
     assert base > 0.0 and math.isfinite(base)
-    assert abs(coupling_gamma(BAR, 2.0 * nu) / base - 2.0**1.5) < 1e-12
-    heavier_mode = DetectorConfig(
-        mass=BAR.mass, length=BAR.length, omega_ell=BAR.omega_ell, ell=3, gw_volume=BAR.gw_volume
-    )
-    assert abs(coupling_gamma(heavier_mode, nu) / base - 1.0 / 9.0) < 1e-12
+    assert abs(replace(BAR, nu=2.0 * nu).gamma_g / base - 2.0**1.5) < 1e-12
+    assert abs(replace(BAR, nu=nu, ell=3).gamma_g / base - 1.0 / 9.0) < 1e-12
+    # nu defaults to resonance, and the exchange angle is gamma_g t
+    assert BAR.nu == BAR.omega_ell and BAR.gamma_t == 0.0
+    assert replace(BAR, nu=nu, t=2.0).gamma_t == base * 2.0
 
 
 def test_even_mode_index_rejected():
-    with pytest.raises(ValueError):
-        DetectorConfig(mass=1.0, length=1.0, omega_ell=1.0, ell=2)
+    with pytest.raises(ValueError, match="^ell: "):
+        Detector(mass=1.0, length=1.0, omega_ell=1.0, ell=2)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("mass", 0.0),
+        ("length", -3.0),
+        ("omega_ell", 0.0),
+        ("gw_volume", -1.0),
+        ("quality_factor", 0.0),
+        ("nu", 0.0),
+        ("temperature", -0.01),
+        ("t", -1.0),
+        ("ell", 2),
+        ("ell", -1),  # odd, but not positive
+    ],
+)
+def test_range_rule_names_its_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        replace(BAR, **{field: value})
 
 
 def test_flux_landmark():
@@ -70,14 +87,11 @@ def test_nq_nonnegative_and_squeezed_consistency(r, nbar):
 
 
 def test_noise_thresholds():
-    cold = DetectorConfig(
-        mass=1800.0, length=3.0, omega_ell=5600.0, gw_volume=1e9, temperature=0.0
-    )
-    rep = noise_thresholds(cold, 628.0, gamma_t=1e-2, n_grav=1e4)
-    assert rep.heating_ok and rep.occupation_ok
-    assert rep.gamma_th == rep.n_th == 0.0
+    cold = Detector(mass=1800.0, length=3.0, omega_ell=5600.0, gw_volume=1e9, temperature=0.0)
+    assert at_gamma_t(cold, 628.0, 1e-2).beats_noise(n_grav=1e4) == (True, True)
+    assert cold.gamma_th == cold.n_th == 0.0
 
-    warm = DetectorConfig(
+    warm = Detector(
         mass=1800.0,
         length=3.0,
         omega_ell=5600.0,
@@ -85,39 +99,22 @@ def test_noise_thresholds():
         temperature=0.05,
         quality_factor=1e7,
     )
-    warm_q10 = DetectorConfig(
-        mass=1800.0,
-        length=3.0,
-        omega_ell=5600.0,
-        gw_volume=1e9,
-        temperature=0.05,
-        quality_factor=1e8,
-    )
-    rep1 = noise_thresholds(warm, 628.0, 1e-2, 1e4)
-    rep2 = noise_thresholds(warm_q10, 628.0, 1e-2, 1e4)
-    assert abs(rep1.gamma_th / rep2.gamma_th - 10.0) < 1e-9
+    warm_q10 = replace(warm, quality_factor=1e8)
+    assert abs(warm.gamma_th / warm_q10.gamma_th - 10.0) < 1e-9
 
 
 def test_noise_threshold_margin_example():
     # engineered point: n_grav (gt)^2 = 1 with Gamma_th t = 0.1 -> margin 10
-    cfg = DetectorConfig(mass=1800.0, length=3.0, omega_ell=5600.0, gw_volume=1e9, temperature=1.0)
-    nu = 628.0
-    gamma = coupling_gamma(cfg, nu)
-    gamma_t = 1e-2
-    t = gamma_t / gamma
-    gamma_th = K_B * cfg.temperature / (HBAR * cfg.quality_factor)
+    base = Detector(mass=1800.0, length=3.0, omega_ell=5600.0, gw_volume=1e9, temperature=1.0)
+    nu, gamma_t = 628.0, 1e-2
+    t = at_gamma_t(base, nu, gamma_t).t
     # choose Q so Gamma_th * t = 0.1
-    q_needed = gamma_th * t * cfg.quality_factor / 0.1
-    tuned = DetectorConfig(
-        mass=1800.0,
-        length=3.0,
-        omega_ell=5600.0,
-        gw_volume=1e9,
-        temperature=1.0,
-        quality_factor=q_needed,
-    )
-    rep = noise_thresholds(tuned, nu, gamma_t, n_grav=1.0 / gamma_t**2)
-    assert rep.heating_ok
-    assert abs(rep.gamma_th * t - 0.1) < 1e-9
+    q_needed = base.gamma_th * t * base.quality_factor / 0.1
+    tuned = at_gamma_t(replace(base, quality_factor=q_needed), nu, gamma_t)
+    assert tuned.t == t
+    heating_ok, _ = tuned.beats_noise(n_grav=1.0 / gamma_t**2)
+    assert heating_ok
+    assert abs(tuned.gamma_th * t - 0.1) < 1e-9
     # the signal 1 beats Gamma_th t = 0.1 by a margin of 10, and a signal of 0.09 does not
-    assert not noise_thresholds(tuned, nu, gamma_t, n_grav=0.09 / gamma_t**2).heating_ok
+    heating_ok, _ = tuned.beats_noise(n_grav=0.09 / gamma_t**2)
+    assert not heating_ok

@@ -206,7 +206,7 @@ def test_public_names_serve_a_caller():
     # scripts or the benchmark (read, never imported), or is a REFERENCES
     # entry; a mention in a comment or docstring is no caller.  The census in
     # test_output_manifest.py covers every def.
-    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    sources = sorted(PACKAGE.glob("*.py"))
     readers = sources + [p for p in sorted((ROOT / "scripts").glob("*")) if p.is_file()]
     readers += sorted((ROOT / "perfbench").glob("*.py"))
     text = {path: code_lines(path) for path in readers}
