@@ -25,7 +25,9 @@ that moves bytes on purpose regenerates it with ``--write``, so the moved
 outputs show in its diff.  The bytes depend on the libm and numpy builds, so
 the manifest also records the python, numpy and platform strings; a check on
 another platform fails and says so.  The kernel release is left out of the
-platform string: it does not round anything.
+platform string: it does not round anything.  The BLAS thread count can
+round a Fock-oracle array differently, so the script runs with one thread
+and records it (``tests/conftest.py`` sets the same for the test session).
 
 ``--compare`` runs the generator for the seeds COMPARED once per checkout,
 each in a ``python -B`` worker on that checkout's ``src/``, lists every
@@ -36,6 +38,7 @@ with each side's worst distance to the 80-digit referee of
 ``perfbench/referee.py`` (P_n absolute, g2 relative; the mean and second
 moment of a moment triple have no referee entry), and the largest of each
 over the moved P_n tables and over the moved moment triples close the list.
+A moved ``tomo`` document is listed with the dotted keys whose values differ.
 """
 
 from __future__ import annotations
@@ -46,13 +49,21 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# OpenBLAS can move the last bit of a Fock-oracle array with its thread
+# count, so this process and its --compare workers (which inherit the
+# environment) use one thread, set before numpy loads
+BLAS_THREADS = 1
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = str(BLAS_THREADS)
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "output_manifest.json"
@@ -133,6 +144,7 @@ def platform_strings() -> dict[str, str]:
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "numpy": np.__version__,
         "platform": "-".join(part for part in (system, machine, libc) if part),
+        "blas_threads": str(BLAS_THREADS),
     }
 
 
@@ -217,12 +229,15 @@ def rows(
 ) -> list[tuple[str, str, str, int, str | None]]:
     """(label, subcommand, digest, exit code, values) of every output of ``outputs``.
 
-    values is the hex of the float64 bytes an oracle draw printed, and None
-    for every other output and for a draw that raised.
+    values is the hex of the float64 bytes an oracle draw printed, the text
+    of the JSON document a ``tomo`` run printed, and None for every other
+    output and for a draw or run that failed.
     """
     found = []
     for label, command, code, out, err in outputs(checkout, work, seeds, oracle_seeds):
-        values = out.hex() if command == "oracle" and code == 0 else None
+        values = None
+        if code == 0 and command in ("oracle", "tomo"):
+            values = out.hex() if command == "oracle" else out.decode()
         found.append((label, command, digest(code, out, err), code, values))
     return found
 
@@ -235,12 +250,13 @@ def build(work: Path) -> dict:
 
 def first_difference(expected: dict, actual: dict) -> str | None:
     """Why the actual outputs do not match the manifest, or None when they do."""
-    for key in ("python", "numpy", "platform"):
+    for key in ("python", "numpy", "platform", "blas_threads"):
         if expected.get(key) != actual[key]:
             return (
                 f"platform mismatch: the manifest was made with {key} {expected.get(key)!r}, "
                 f"this run has {actual[key]!r}; output bytes depend on the libm and numpy "
-                "builds, so regenerate it there (scripts/output_manifest.py --write)"
+                "builds and the BLAS threads, so regenerate it there "
+                "(scripts/output_manifest.py --write)"
             )
     want, got = expected["outputs"], actual["outputs"]
     for label in [*want, *(label for label in got if label not in want)]:
@@ -283,6 +299,25 @@ def relative_change(before: str | None, after: str | None) -> float | None:
     return float(ratios.max(initial=0.0))
 
 
+def moved_keys(before: str, after: str) -> list[str]:
+    """Dotted keys of the leaves whose values differ between two JSON documents given as text.
+
+    A list item's key is its index; a leaf present on one side only counts
+    as moved.
+    """
+
+    def leaves(value, key: str = ""):
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for name, item in items:
+                yield from leaves(item, f"{key}.{name}" if key else str(name))
+        else:  # as JSON text, so NaN equals NaN
+            yield key, json.dumps(value)
+
+    old, new = (dict(leaves(json.loads(side))) for side in (before, after))
+    return [key for key in {**old, **new} if old.get(key) != new.get(key)]
+
+
 def referee_distances(label: str, sides: list[str]) -> list[float]:
     """Worst distance of each side's array of a moved oracle draw to the 80-digit referee.
 
@@ -321,6 +356,9 @@ def compare(parent: Path, change: Path) -> bool:
         print(f"{command}: {len(labels)} differ")
         for label in labels:
             sides = [values[0][label], values[1][label]]
+            if command == "tomo" and None not in sides:
+                print(f"  {label}: {', '.join(moved_keys(*sides))}")
+                continue
             change = relative_change(*sides)
             if change is None:
                 print(f"  {label}")

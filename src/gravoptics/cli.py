@@ -407,6 +407,19 @@ def _over_grid(cfg: ScenarioConfig, columns: dict, evaluate):
         raise
 
 
+def _grid_table(cfg: ScenarioConfig, columns: dict, evaluate, header: list, *levels) -> Run:
+    """The table of evaluate's cell columns over the grid columns, one row per grid point.
+
+    evaluate(columns, wave) returns the cell columns in broadcast shape (see
+    ``_over_grid``); each array of levels is one more axis after the sweep's.
+    """
+    cells = _over_grid(cfg, columns, evaluate)
+    axes = [*(values.ravel() for values in columns.values()), *levels]
+    shape = [len(axis) for axis in axes]
+    cells = [np.broadcast_to(x, shape).ravel() for x in cells]
+    return Run([*columns, *header], GridRows(axes, cells))
+
+
 @dataclass
 class GridRows:
     """Table rows over a grid: the axis values, then one column per grid point in grid order."""
@@ -473,28 +486,27 @@ def _emit(header: list[str] | None, rows: list | GridRows | dict, out, fmt: str)
 def cmd_probs(cfg: ScenarioConfig, args) -> Run:
     n_max = int(cfg.extra.get("n_max", 3))
 
-    def table(columns: dict, wave: tuple) -> counting.DeltaPn:
+    def table(columns: dict, wave: tuple) -> tuple:
         """P_n, P_{n,c} and their ratio of a checked wave, in one array pass."""
         s = each(math.sin, cfg.gamma_t(columns))
-        return counting.delta_pn(detector_scalars(*wave, gain=s * s), n_max)
+        d = counting.delta_pn(detector_scalars(*wave, gain=s * s), n_max)
+        return d.pn, d.pn_coherent, d.ratio
 
     columns = _grid(cfg)
     cfg.gamma_t(columns)  # a missing detector is reported before any wave
-    d = _over_grid(cfg, columns, table)
-    shape = [*(int(axis["steps"]) for axis in cfg.sweep), n_max + 1]
-    header = [*columns, "n", "p_n", "p_n_coherent", "delta_ratio"]
-    axes = [*(values.ravel() for values in columns.values()), np.arange(n_max + 1)]
-    cells = [np.broadcast_to(x, shape).ravel() for x in (d.pn, d.pn_coherent, d.ratio)]
-    return Run(header, GridRows(axes, cells))
+    header = ["n", "p_n", "p_n_coherent", "delta_ratio"]
+    return _grid_table(cfg, columns, table, header, np.arange(n_max + 1))
 
 
-def _g2_minus_1(columns: dict, wave: tuple) -> np.ndarray:
-    """g2 - 1 of a checked wave in one array pass, in its broadcast shape."""
+def _g2_table(columns: dict, wave: tuple) -> tuple:
+    """g2, g2 - 1, g2 - 2 and g2 > 2 of a checked wave in one array pass, in its broadcast shape."""
     with np.errstate(all="ignore"):  # the vacuum's 0 / 0 is a failure, not a warning
         g2_minus_1 = wick_g2_minus_1(detector_scalars(*wave))
     if not np.isfinite(g2_minus_1).all():
         raise ValueError("g2 undefined for the vacuum input at a sweep point")
-    return g2_minus_1
+    g2 = 1.0 + g2_minus_1
+    # np.greater, since a replayed point's g2 is a Python float
+    return g2, g2_minus_1, g2_minus_1 - 1.0, np.greater(g2, 2.0).astype(int)
 
 
 def cmd_g2(cfg: ScenarioConfig, args) -> Run:
@@ -511,14 +523,8 @@ def cmd_g2(cfg: ScenarioConfig, args) -> Run:
         )
     if cfg.scaled and not (cfg.detector or "gamma_t" in sweep_names):
         raise ConfigError("g2: the scaled parameterization needs detector.gamma_t")
-    columns = _grid(cfg)
-    g2_minus_1 = _over_grid(cfg, columns, _g2_minus_1)
-    shape = [int(axis["steps"]) for axis in cfg.sweep]
-    g2_minus_1 = np.broadcast_to(g2_minus_1, shape).ravel()
-    g2 = 1.0 + g2_minus_1
-    header = sweep_names + ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
-    axes = [values.ravel() for values in columns.values()]
-    return Run(header, GridRows(axes, [g2, g2_minus_1, g2_minus_1 - 1.0, (g2 > 2.0).astype(int)]))
+    header = ["g2", "g2_minus_1", "g2_minus_2", "exceeds_thermal"]
+    return _grid_table(cfg, _grid(cfg), _g2_table, header)
 
 
 def cmd_physical(cfg: ScenarioConfig, args) -> Run:
@@ -595,8 +601,7 @@ def cmd_tomo(cfg: ScenarioConfig, args) -> Run:
     ]
     coeffs = tomography.separate_terms_by_beta(beta_sweep)
 
-    vq = tomography.quadrature_variance_normal(p, lo0.phi)
-    matched = math.sqrt(max(math.sin(gamma_t) ** 2 * vq, 0.0))
+    matched = math.sqrt(max(tomography.quadrature_signal(p, lo0.phi, gamma_t), 0.0))
     snr = (
         tomography.snr_quadrature(p, LocalOscillator(matched, lo0.phi, epsilon=epsilon), gamma_t)
         if epsilon > 0 and matched > 0

@@ -41,7 +41,7 @@ X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 NEGATIVE_CLAMP = 1e-12
 HAFNIAN_MAX_PAIRS = 8
-PN_MAX = 32  # bound of the cli's n_max; the log-G series to it takes ~0.15 ms
+PN_MAX = 32  # bound of the cli's n_max
 
 
 def poisson_pn(mean, n):

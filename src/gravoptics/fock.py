@@ -242,15 +242,10 @@ def _gw_density(p: GwSignalParams, tail_tol: float, min_dim: int = MIN_DIM) -> T
     which the asymptotic decay ratio takes the tail to 5% of tail_tol, plus
     12, kept between min_dim and MAX_DIM.  A tail failure grows the cutoff by
     a quarter, stopping at MAX_DIM once on the way, up to GROWTH_MAX_DIM.
-    The guess is generous, not the smallest cutoff that passes: on the
-    benchmark's seed-901 oracle draws all 32 accepted cutoffs lie above it
-    (largest 320 against 203, median 100.5 against 70).  The margin buys
-    accuracy the checks need.  At the smallest passing cutoffs those draws
-    cost 1.8 to 1.9 times less, but P_n is then off the 80-digit referee by
-    1.2e-8 and g2 by 2.4e-5, past the benchmark's 1e-8 and 1e-6.  Cutoffs
-    aimed at a tail of 1e-10 save only 1.15 times on seeds 901-902, with g2
-    off by 4.2e-7; the guess matches a tail of about 1e-11.  The accepted
-    density is returned, so callers build it once.
+    The guess is generous on purpose, not the smallest cutoff that passes
+    the tail test: the margin is the accuracy that the checks against the
+    80-digit referee need (the measurements are in CHANGES.md).  The
+    accepted density is returned, so callers build it once.
     """
     mean = p.mean_occupation
     q = _tail_decay_ratio(p)

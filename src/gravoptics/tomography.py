@@ -18,14 +18,13 @@ by validating against the large-squeezing limits of both terms.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DetectorScalars, GwSignalParams
+from .states import GwSignalParams
 
 EPSILON_WARN = 0.1
 MIN_PHASES = 8  # reconstruct_gaussian fits five Fourier coefficients
@@ -96,12 +95,27 @@ def classical_lo_noise(lo: LocalOscillator, gamma_t: float) -> float:
     return 4.0 * math.cos(gamma_t) ** 4 * lo.epsilon * lo.beta_mag**4
 
 
+def _gains(beta, gamma_t: float) -> tuple:
+    """The drive gains of dG1 and dG2: sin^3 cos |beta| and sin^2 cos^2 |beta|^2."""
+    s, c = math.sin(gamma_t), math.cos(gamma_t)
+    return s**3 * c * beta, s**2 * c**2 * np.float_power(beta, 2)
+
+
 def _drive_terms(p: GwSignalParams, beta, phi, gamma_t: float) -> tuple:
     """(dG1, dG2) at drive amplitude beta and phase phi, each a number or an array."""
-    s, c = math.sin(gamma_t), math.cos(gamma_t)
-    dg1 = s**3 * c * beta * quadrature_number_correlation(p, phi + math.pi / 2.0)
-    dg2 = s**2 * c**2 * np.float_power(beta, 2) * quadrature_variance_normal(p, phi)
-    return dg1, dg2
+    k1, k2 = _gains(beta, gamma_t)
+    dg1 = k1 * quadrature_number_correlation(p, phi + math.pi / 2.0)
+    return dg1, k2 * quadrature_variance_normal(p, phi)
+
+
+def _dg0(p: GwSignalParams, gamma_t: float) -> float:
+    """dG0 = sin^4 <:(Dn)^2:>, the Wick excess of the wave."""
+    return math.sin(gamma_t) ** 4 * p.detector_scalars().excess
+
+
+def quadrature_signal(p: GwSignalParams, phi: float, gamma_t: float) -> float:
+    """The quadrature signal sin^2(gamma_t) <:(Dh_phi)^2:> at the detector."""
+    return math.sin(gamma_t) ** 2 * quadrature_variance_normal(p, phi)
 
 
 def delta_g2_terms(p: GwSignalParams, lo: LocalOscillator, gamma_t: float) -> TomographyTerms:
@@ -113,8 +127,7 @@ def delta_g2_terms(p: GwSignalParams, lo: LocalOscillator, gamma_t: float) -> To
     classical drive-noise floor.
     """
     dg1, dg2 = _drive_terms(p, lo.beta_mag, lo.phi, gamma_t)
-    dg0 = math.sin(gamma_t) ** 4 * p.detector_scalars().excess
-    return TomographyTerms(dg0, dg1, dg2, classical_lo_noise(lo, gamma_t))
+    return TomographyTerms(_dg0(p, gamma_t), dg1, dg2, classical_lo_noise(lo, gamma_t))
 
 
 def snr_quadrature(p: GwSignalParams, lo: LocalOscillator, gamma_t: float) -> float:
@@ -125,10 +138,9 @@ def snr_quadrature(p: GwSignalParams, lo: LocalOscillator, gamma_t: float) -> fl
     """
     if lo.beta_mag <= 0:
         raise ValueError("snr needs a nonzero drive amplitude")
-    signal = math.sin(gamma_t) ** 2 * quadrature_variance_normal(p, lo.phi)
     if lo.epsilon == 0.0:
         return math.inf
-    return signal / (4.0 * lo.epsilon * lo.beta_mag**2)
+    return quadrature_signal(p, lo.phi, gamma_t) / (4.0 * lo.epsilon * lo.beta_mag**2)
 
 
 def separate_terms_by_beta(sweep: list[tuple[float, float]]) -> np.ndarray:
@@ -175,16 +187,17 @@ def reconstruct_gaussian(
     dG2(phi) is pi-periodic and linear in (ntilde, S cos theta, S sin theta)
     with S = (nbar + 1/2) sinh 2r; dG1(phi) is 2 pi-periodic and linear in the
     complex combination w = alpha ntilde + alpha* mu.  Both fits are ordinary
-    least squares on trigonometric design matrices; dG0 disambiguates via a
-    consistency residual.  Degenerate directions (r = 0 making theta
-    meaningless, ntilde = |mu| making alpha unobservable) are flagged.
+    least squares on trigonometric design matrices, over the rows divided by
+    the gains of ``_drive_terms``.  The residual is the misfit of the reported
+    state: the RMS distance of its dG1 and dG2 rows (``_drive_terms``) and its
+    dG0 from the data, over the largest data magnitude.  Degenerate directions
+    (r = 0 making theta meaningless, ntilde = |mu| making alpha unobservable)
+    are flagged.
     """
     phis, dg1, dg2 = (np.asarray(column, dtype=float) for column in phase_sweep)
     if len(phis) < MIN_PHASES:
         raise ValueError(f"need at least {MIN_PHASES} phases covering [0, 2 pi)")
-    s, c = math.sin(gamma_t), math.cos(gamma_t)
-    k1 = s**3 * c * beta_mag
-    k2 = s**2 * c**2 * beta_mag**2
+    k1, k2 = _gains(beta_mag, gamma_t)
 
     # pi-periodic fit: dG2 / k2 = ntilde - S cos(theta) cos 2phi - S sin(theta) sin 2phi
     design2 = np.column_stack([np.ones_like(phis), np.cos(2 * phis), np.sin(2 * phis)])
@@ -212,15 +225,9 @@ def reconstruct_gaussian(
     else:
         alpha = 0.0 + 0.0j
 
-    model_w = alpha * ntilde + np.conj(alpha) * mu
-    model_dg1 = math.sqrt(2.0) * k1 * (
-        np.exp(-1j * (phis + math.pi / 2.0)) * model_w
-    ).real
-    model_dg2 = k2 * (ntilde + (np.exp(-2j * phis) * mu).real)
-    fitted = DetectorScalars.from_phase(
-        abs(alpha) * abs(alpha), ntilde, s_mag, ntilde - s_mag, 0.5 * theta - cmath.phase(alpha)
-    )
-    dg0_model = math.sin(gamma_t) ** 4 * fitted.excess
+    reported = GwSignalParams(alpha, r, theta, nbar)
+    model_dg1, model_dg2 = _drive_terms(reported, beta_mag, phis, gamma_t)
+    dg0_model = _dg0(reported, gamma_t)
     scale = max(np.max(np.abs(dg1)), np.max(np.abs(dg2)), abs(dG0), 1e-300)
     residual = float(
         math.sqrt(

@@ -153,3 +153,35 @@ def test_compare_lists_every_difference_by_subcommand(monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert "sweeps ops: identical (5 outputs" in printed
     assert "oracle draws: identical (1 P_n tables and 1 moment triples" in printed
+
+
+def test_compare_lists_the_moved_keys_of_a_tomo_document(monkeypatch, capsys):
+    # a tomo row carries the JSON document it printed; a moved one is listed
+    # with the dotted keys of the leaves that differ
+    compare = load_script()
+    document = {"recovered": {"r": 0.5, "residual": 0.02}, "coefficients": [1.0, 2.0]}
+    moved = {"recovered": {"r": 0.5, "residual": 0.03}, "coefficients": [1.0, 2.5]}
+    texts = [json.dumps(side, indent=2) for side in (document, moved)]
+    assert compare.moved_keys(texts[0], texts[0]) == []
+    assert compare.moved_keys(*texts) == ["recovered.residual", "coefficients.1"]
+    assert compare.moved_keys('{"a": NaN}', '{"a": NaN, "b": {"c": 1}}') == ["b.c"]
+    parent = [
+        ("figure tomo", "tomo", "a", 0, texts[0]),
+        ("seed 901 tomo-27 json", "tomo", "b", 1, None),
+    ]
+    change = [(*parent[0][:2], "moved", 0, texts[1]), (*parent[1][:2], "moved", 0, texts[1])]
+
+    def worker(cmd, **_):
+        side = parent if cmd[-2] == "parent" else change
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(side))
+
+    monkeypatch.setattr(compare.subprocess, "run", worker)
+    assert compare.compare(Path("parent"), Path("change")) is False
+    printed = capsys.readouterr().out
+    # a run that failed on one side has no document to compare
+    assert printed == (
+        "tomo: 2 differ\n"
+        "  figure tomo: recovered.residual, coefficients.1\n"
+        "  seed 901 tomo-27 json\n"
+        "2 of 2 outputs differ\n"
+    )

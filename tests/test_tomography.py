@@ -204,6 +204,18 @@ def test_reconstruction_with_noise_degrades_smoothly():
     assert 0.0 < rec.residual < 0.5
 
 
+def test_residual_is_the_misfit_of_the_reported_state():
+    # dG2 rows with |S| > ntilde + 1/2, which no Gaussian state has: the fit
+    # clamps r and nbar, and the reported state's own rows and dG0 lie far
+    # from the data, so the residual must say so
+    gt, beta, ntilde, s_mag, theta = 0.3, 2.0, 0.1, 1.0, 0.4
+    phis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    k2 = math.sin(gt) ** 2 * math.cos(gt) ** 2 * beta**2
+    dg2 = k2 * (ntilde - s_mag * np.cos(theta - 2.0 * phis))
+    rec = reconstruct_gaussian((phis, np.zeros_like(phis), dg2), gt, beta, 0.0)
+    assert rec.residual > 1.0
+
+
 def test_negative_drive_draw_is_a_phase_flip():
     """A draw with 1 + xi < 0 is the drive |beta (1 + xi)| at phi + pi: dG1 flips, dG2 stays."""
     p = GwSignalParams(alpha=np.exp(0.4j), r=0.5, theta=0.7, nbar=0.2)
